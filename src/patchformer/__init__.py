@@ -7,6 +7,7 @@ from .data import LosoFold, Recording, SegmentSet, downsample, loso_split, segme
 from .errors import (
     ConfigurationError,
     DataFormatError,
+    FoldError,
     MetricUndefinedError,
     PatchFormerError,
     ShapeError,
@@ -25,6 +26,7 @@ __all__ = [
     "ConfigurationError",
     "DataFormatError",
     "ExperimentReport",
+    "FoldError",
     "LosoFold",
     "MetricUndefinedError",
     "ModelConfig",

@@ -23,3 +23,8 @@ class MetricUndefinedError(PatchFormerError, ValueError):
 
 class TrainingDivergedError(PatchFormerError, RuntimeError):
     """Training produced non-finite values; the message names the culprit."""
+
+
+class FoldError(PatchFormerError, RuntimeError):
+    """A LOSO fold failed with an error from outside the package; the original
+    error is chained as the cause and named in the message."""

@@ -14,6 +14,7 @@ import numpy as np
 
 from .config import ABLATIONS, ModelConfig
 from .data import SegmentSet, loso_split
+from .errors import FoldError, PatchFormerError
 from .model import build
 from .rng import Rng
 from .train import TrainConfig, evaluate_segments, train
@@ -122,8 +123,13 @@ def _run_fold(args):
             from .checkpoint import save_model
 
             save_model(model, checkpoint_path)
-    except Exception as exc:
+    except PatchFormerError as exc:
+        # every package error takes one message, so its type survives the rebuild
         raise type(exc)(f"fold for subject {subject!r} failed: {exc}") from exc
+    except Exception as exc:
+        raise FoldError(
+            f"fold for subject {subject!r} failed: {type(exc).__name__}: {exc}"
+        ) from exc
     row = SubjectResult(
         subject=subject,
         acc=ev["acc"],

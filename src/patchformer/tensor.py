@@ -2,9 +2,9 @@
 
 A :class:`Tensor` wraps a numpy array and records the operation that produced
 it; ``backward()`` on a scalar walks the recorded graph in reverse topological
-order and accumulates gradients into every node that requires them. float32 is
+order and accumulates gradients into the leaves that require them. float32 is
 the working precision for training and inference; gradient checking builds the
-same graphs in float64.
+same graphs in float64. Inside ``with no_grad():`` no graph is recorded.
 
 All differentiable kernels the network composes live here as free functions
 (convolutions, pooling, normalization, attention, dropout, ...). Each keeps
@@ -13,6 +13,7 @@ the rule: finite inputs must give finite outputs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,22 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, ShapeError
 
 DEFAULT_DTYPE = np.float32
+
+# Whether op results record their parents; switched off by `no_grad`.
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording a graph: results have no parents and no
+    backward, so their inputs can be freed as soon as the caller drops them."""
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -54,10 +71,16 @@ class Tensor:
 
     @staticmethod
     def _from_op(data, parents, backward):
+        """Result of an op; `backward(g)` returns one gradient (or None) per parent.
+
+        `Tensor.backward` drops gradients for parents that do not require
+        grad; kernels whose gradients cost real work (convolutions, matmul)
+        return None for such parents without computing them.
+        """
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward
@@ -175,9 +198,12 @@ class Tensor:
         data = self.data @ other.data
 
         def bw(g):
-            ga = g @ np.swapaxes(other.data, -1, -2)
-            gb = np.swapaxes(self.data, -1, -2) @ g
-            return _unbroadcast(ga, self.shape), _unbroadcast(gb, other.shape)
+            ga = gb = None
+            if self.requires_grad:
+                ga = _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape)
+            if other.requires_grad:
+                gb = _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape)
+            return ga, gb
 
         return Tensor._from_op(data, (self, other), bw)
 
@@ -243,10 +269,12 @@ class Tensor:
     # -- reverse pass -----------------------------------------------------------
 
     def backward(self):
-        """Accumulate d(self)/d(node) into .grad for every reachable node.
+        """Accumulate d(self)/d(leaf) into .grad for every reachable leaf.
 
-        Repeated calls without zeroing keep accumulating (gradients add up),
-        which the optimizer relies on being able to reset explicitly.
+        Leaves are tensors no op produced (inputs and parameters); interior
+        nodes keep no .grad. Repeated calls without zeroing keep accumulating
+        (gradients add up), which the optimizer relies on being able to reset
+        explicitly.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() expects a scalar, got shape {self.shape}")
@@ -269,16 +297,15 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
 
-        # Per-call gradient flow lives in `flowing`; only the final per-node
-        # totals are added into .grad so repeated backward calls accumulate
-        # without double counting interior contributions.
+        # Per-call gradient flow lives in `flowing`; a node's total is complete
+        # when it is popped, and only leaf totals are added into .grad.
         flowing = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
-            node.grad = g if node.grad is None else node.grad + g
             if node._backward is None:
+                node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
@@ -471,13 +498,17 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     data += bias.data.reshape(1, f_out, 1, 1)
 
     def bw(g):
-        gw = np.einsum("boct,bictk->oik", g, win, optimize=True)
-        gb = g.sum(axis=(0, 2, 3))
-        gpad = np.pad(g, ((0, 0), (0, 0), (0, 0), (k - 1, k - 1)))
-        gwin = sliding_window_view(gpad, k, axis=3)  # (B, F_out, C, T+K-1, K)
-        gxpad = np.einsum("boctk,oik->bict", gwin, w[:, :, ::-1], optimize=True)
-        gx = gxpad[..., pad_l:pad_l + t]
-        return np.ascontiguousarray(gx), gw.reshape(kernels.shape), gb
+        gx = gw = gb = None
+        if x.requires_grad:
+            gpad = np.pad(g, ((0, 0), (0, 0), (0, 0), (k - 1, k - 1)))
+            gwin = sliding_window_view(gpad, k, axis=3)  # (B, F_out, C, T+K-1, K)
+            gxpad = np.einsum("boctk,oik->bict", gwin, w[:, :, ::-1], optimize=True)
+            gx = np.ascontiguousarray(gxpad[..., pad_l:pad_l + t])
+        if kernels.requires_grad:
+            gw = np.einsum("boct,bictk->oik", g, win, optimize=True).reshape(kernels.shape)
+        if bias.requires_grad:
+            gb = g.sum(axis=(0, 2, 3))
+        return gx, gw, gb
 
     return Tensor._from_op(data, (x, kernels, bias), bw)
 
@@ -507,10 +538,14 @@ def conv_spatial(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     def bw(g):
         g2 = g[:, :, 0, :]
-        gx = np.einsum("bot,oic->bict", g2, w, optimize=True)
-        gw = np.einsum("bot,bict->oic", g2, x.data, optimize=True)
-        gb = g2.sum(axis=(0, 2))
-        return gx, gw.reshape(kernels.shape), gb
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = np.einsum("bot,oic->bict", g2, w, optimize=True)
+        if kernels.requires_grad:
+            gw = np.einsum("bot,bict->oic", g2, x.data, optimize=True).reshape(kernels.shape)
+        if bias.requires_grad:
+            gb = g2.sum(axis=(0, 2))
+        return gx, gw, gb
 
     return Tensor._from_op(data, (x, kernels, bias), bw)
 

@@ -14,7 +14,7 @@ from .metrics import accuracy, macro_f1, roc_auc
 from .model import PatchFormerModel
 from .optim import AdamState, adam_step, cosine_lr
 from .rng import Rng
-from .tensor import Tensor, softmax
+from .tensor import Tensor, no_grad, softmax
 
 
 @dataclass
@@ -49,12 +49,13 @@ class TrainConfig:
 
 
 def predict_proba(model: PatchFormerModel, X: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode class probabilities, batched; X is (n, c, l)."""
+    """Eval-mode class probabilities, batched; X is (n, c, l). Records no graph."""
     probs = []
-    for start in range(0, len(X), batch_size):
-        xb = X[start : start + batch_size][:, None, :, :]
-        logits = model.forward(Tensor(xb.astype(model.dtype)), mode="eval")
-        probs.append(softmax(logits, axis=-1).data)
+    with no_grad():
+        for start in range(0, len(X), batch_size):
+            xb = X[start : start + batch_size][:, None, :, :]
+            logits = model.forward(Tensor(xb.astype(model.dtype)), mode="eval")
+            probs.append(softmax(logits, axis=-1).data)
     return np.concatenate(probs) if probs else np.empty((0, model.config.n_classes))
 
 

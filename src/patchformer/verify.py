@@ -225,14 +225,18 @@ OP_CHECKS = {
 }
 
 
+def trial_rng(name: str, trial: int, seed: int = 0) -> np.random.Generator:
+    """Generator of one randomized gradient trial, the same in every process."""
+    return np.random.default_rng(Rng(seed).spawn(f"{name}:{trial}").seed)
+
+
 def op_grad_checks(trials: int = 20, eps: float = 1e-5, seed: int = 0) -> dict:
     """Worst relative error per op over `trials` randomized shapes/values."""
     results = {}
     for name, make in OP_CHECKS.items():
         worst = 0.0
         for trial in range(trials):
-            rng = np.random.default_rng(hash((name, trial, seed)) & 0xFFFFFFFF)
-            f, inputs = make(rng)
+            f, inputs = make(trial_rng(name, trial, seed))
             worst = max(worst, grad_check(f, inputs, eps=eps))
         results[name] = worst
     return results

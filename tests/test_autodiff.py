@@ -1,11 +1,20 @@
 """Reverse-mode differentiation: accumulation semantics and numeric checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import patchformer
 from patchformer.gradcheck import grad_check
-from patchformer.tensor import Tensor, linear
-from patchformer.verify import OP_CHECKS, THRESHOLD, op_grad_checks
+from patchformer.losses import cross_entropy
+from patchformer.model import build
+from patchformer.rng import Rng
+from patchformer.tensor import Tensor, linear, no_grad
+from patchformer.verify import OP_CHECKS, THRESHOLD, op_grad_checks, trial_rng
 
 
 class TestBackwardBasics:
@@ -60,6 +69,49 @@ class TestBackwardBasics:
         np.testing.assert_allclose(b.grad, np.full(3, 4.0))
         np.testing.assert_allclose(x.grad, np.ones((4, 3)))
 
+    def test_model_backward_fills_leaves_only(self, tiny_config, np_rng):
+        model = build(tiny_config, Rng(0), dtype=np.float64)
+        x = Tensor(np_rng.normal(size=(2, 1, tiny_config.c, tiny_config.l)))
+        loss = cross_entropy(model.forward(x, mode="train", rng=Rng(1)), [0, 1])
+        loss.backward()
+        assert all(p.grad is not None for p in model.parameters.values())
+        assert x.grad is None
+        stack, seen = [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node._backward is not None:
+                assert node.grad is None
+                stack.extend(node._parents)
+
+
+class TestNoGrad:
+    def test_outputs_record_no_graph(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with no_grad():
+            out = linear(w, w) * 2.0
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+
+    def test_flag_restored_after_nesting(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (w * 2.0).requires_grad
+        assert (w * 2.0).requires_grad
+
+    def test_flag_restored_after_exception(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside no_grad")
+        out = (w * 2.0).sum()
+        out.backward()
+        np.testing.assert_array_equal(w.grad, [2.0, 2.0])
+
 
 class TestGradCheckHarness:
     def test_linear_layer_exact(self, np_rng):
@@ -105,10 +157,21 @@ def test_each_op_passes_randomized_trials(op_name):
     """Every differentiable op stays under 1e-5 across randomized shapes."""
     worst = 0.0
     for trial in range(20):
-        rng = np.random.default_rng(hash((op_name, trial, 0)) & 0xFFFFFFFF)
-        f, inputs = OP_CHECKS[op_name](rng)
+        f, inputs = OP_CHECKS[op_name](trial_rng(op_name, trial))
         worst = max(worst, grad_check(f, inputs))
     assert worst < THRESHOLD, f"{op_name} worst error {worst:.3e}"
+
+
+def test_trial_inputs_do_not_depend_on_the_hash_salt():
+    """A failing trial replays in a new process whatever its hash salt."""
+    code = "from patchformer.verify import trial_rng; print(trial_rng('softmax', 3).integers(2**62))"
+    env = dict(os.environ, PYTHONPATH=str(Path(patchformer.__file__).parents[1]))
+    seen = {
+        subprocess.run([sys.executable, "-c", code], env=dict(env, PYTHONHASHSEED=salt),
+                       capture_output=True, text=True, check=True, timeout=60).stdout.strip()
+        for salt in ("1", "2")
+    }
+    assert seen == {str(trial_rng("softmax", 3).integers(2**62))}
 
 
 def test_suite_runner_reports_all_ops():

@@ -1,6 +1,9 @@
 """Deterministic replay of every random stream."""
 
+import math
+
 import numpy as np
+import pytest
 
 from patchformer.rng import Rng
 
@@ -34,3 +37,11 @@ def test_spawn_labels_independent():
     assert r.spawn("a").seed != r.spawn("b").seed
     assert not np.array_equal(r.spawn("a").uniform(0, 1, 32),
                               r.spawn("b").uniform(0, 1, 32))
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5])
+def test_keep_mask_type_and_rate(p):
+    mask = Rng(5).keep_mask(p, (1000, 1000))
+    assert mask.dtype == np.bool_ and mask.shape == (1000, 1000)
+    sigma = math.sqrt(p * (1.0 - p) / mask.size)
+    assert abs(mask.mean() - (1.0 - p)) < 5 * sigma

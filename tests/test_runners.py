@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from patchformer import runners
 from patchformer.config import ModelConfig
+from patchformer.errors import FoldError
 from patchformer.runners import (
     ExperimentReport,
     SubjectResult,
@@ -69,6 +71,18 @@ class TestRunLoso:
         bad_tc = micro_tc(lr0=1e30)  # diverges immediately
         with pytest.raises(TrainingDivergedError, match="subject 'S02'"):
             _run_fold((micro_dataset, micro_config, bad_tc, "S02", None))
+
+    @pytest.mark.parametrize("parallel_folds", [1, 2])
+    def test_foreign_fold_error_is_wrapped(self, micro_dataset, micro_config, monkeypatch,
+                                           parallel_folds):
+        def undecodable(*args, **kwargs):  # constructor takes five arguments
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        monkeypatch.setattr(runners, "train", undecodable)
+        with pytest.raises(FoldError, match="subject 'S01' failed: UnicodeDecodeError") as info:
+            run_loso(micro_dataset, micro_config, micro_tc(), parallel_folds=parallel_folds)
+        if parallel_folds == 1:  # a worker's cause comes back as its traceback text
+            assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
     def test_checkpoints_written(self, micro_dataset, micro_config, tmp_path):
         run_loso(micro_dataset, micro_config, micro_tc(epochs=1), out_dir=tmp_path)

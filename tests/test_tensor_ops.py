@@ -1,5 +1,7 @@
 """Forward semantics of the differentiable kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -379,3 +381,56 @@ class TestShapeOps:
         k = Tensor(np_rng.normal(size=(4, 4, 1, 3)).astype(np.float32))
         out = conv_temporal(x, k, Tensor(np.zeros(4, dtype=np.float32)))
         assert np.isfinite(out.data).all()
+
+
+def _with_input(kernel, x_requires_grad):
+    """Run a float64 kernel on fixed data; return (param grads, input grad)."""
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(2, 3, 4, 9)), requires_grad=x_requires_grad, dtype=np.float64)
+    if kernel == "conv_temporal":
+        params = [rng.normal(size=(5, 3, 1, 4)), rng.normal(size=5)]
+        fn = conv_temporal
+    elif kernel == "conv_spatial":
+        params = [rng.normal(size=(5, 3, 4, 1)), rng.normal(size=5)]
+        fn = conv_spatial
+    elif kernel == "linear":
+        params = [rng.normal(size=(9, 6)), rng.normal(size=6)]
+        fn = linear
+    else:  # __getitem__ on the input and on a parameter
+        params = [rng.normal(size=(9, 6))]
+
+        def fn(x, w):
+            return linear(x[:, 1:, ::2, 1:], w[1:, 2:])
+
+    params = [Tensor(p, requires_grad=True, dtype=np.float64) for p in params]
+    out = fn(x, *params)
+    (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+    return [p.grad for p in params], x.grad
+
+
+@pytest.mark.parametrize("kernel", ["conv_temporal", "conv_spatial", "linear", "getitem"])
+def test_skipped_input_gradient_leaves_parameter_gradients_unchanged(kernel):
+    with_input, gx = _with_input(kernel, True)
+    without_input, gx_skipped = _with_input(kernel, False)
+    assert gx is not None and gx_skipped is None
+    for a, b in zip(with_input, without_input):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_conv_temporal_backward_never_builds_the_dead_input_window():
+    # the input gradient goes through a (B, F_out, C, T+K-1, K) window; for an
+    # input that needs no gradient the backward pass must stay well below it
+    b, f_out, c, t, k = 2, 16, 4, 2000, 64
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(b, 1, c, t)).astype(np.float32))
+    w = Tensor(rng.normal(size=(f_out, 1, 1, k)).astype(np.float32), requires_grad=True)
+    bias = Tensor(np.zeros(f_out, dtype=np.float32), requires_grad=True)
+    loss = conv_temporal(x, w, bias).sum()
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < b * f_out * c * (t + k - 1) * k * 4 // 2
+    assert w.grad is not None and x.grad is None

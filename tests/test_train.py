@@ -11,7 +11,7 @@ from patchformer.losses import cross_entropy
 from patchformer.optim import AdamState, adam_step
 from patchformer.rng import Rng
 from patchformer.synth import SynthEffect, synth_generate
-from patchformer.tensor import Tensor
+from patchformer.tensor import Tensor, softmax
 from patchformer.train import TrainConfig, evaluate_segments, predict_proba, train
 
 
@@ -114,6 +114,15 @@ class TestEvaluate:
         probs = predict_proba(model, high_snr_dataset.X[:10], batch_size=4)
         assert probs.shape == (10, 2)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-5)
+
+    def test_probabilities_match_a_recorded_forward_bit_for_bit(self, small_loso_config,
+                                                                high_snr_dataset):
+        model = build(small_loso_config, Rng(2))
+        X = high_snr_dataset.X[:8]
+        logits = model.forward(Tensor(X[:, None].astype(model.dtype)), mode="eval")
+        assert logits.requires_grad  # this forward recorded a graph
+        np.testing.assert_array_equal(predict_proba(model, X, batch_size=8),
+                                      softmax(logits, axis=-1).data)
 
     def test_metric_bundle(self, small_loso_config, high_snr_dataset):
         model = build(small_loso_config, Rng(2))
