@@ -18,6 +18,7 @@ from .config import ModelConfig
 from .errors import DataFormatError
 from .model import PatchFormerModel, build
 from .rng import Rng
+from .segio import decode_header, require_keys
 
 MAGIC = b"EEGPFCK1"
 FORMAT_VERSION = 1
@@ -51,21 +52,25 @@ def load_model(path, dtype=np.float32) -> PatchFormerModel:
     payload_offset = 12 + header_len
     if payload_offset + 4 > len(raw):
         raise DataFormatError(f"header length {header_len} overruns the file ({len(raw)} bytes)")
-    header = json.loads(raw[12:payload_offset])
-    if header.get("format_version") != FORMAT_VERSION:
-        raise DataFormatError(f"unsupported checkpoint format version {header.get('format_version')}")
+    header = decode_header(raw, payload_offset, ("format_version", "config", "arrays"))
+    if header["format_version"] != FORMAT_VERSION:
+        raise DataFormatError(f"unsupported checkpoint format version {header['format_version']}")
 
     crc_offset = len(raw) - 4
     (stored_crc,) = struct.unpack_from("<I", raw, crc_offset)
     if stored_crc != zlib.crc32(raw[:crc_offset]):
         raise DataFormatError(f"checksum mismatch at offset {crc_offset}")
 
-    config = ModelConfig.from_dict(header["config"])
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except TypeError as exc:  # the message names the unknown or missing field
+        raise DataFormatError(f"checkpoint config in the header at offset 12: {exc}") from exc
     model = build(config, Rng(0), dtype=dtype)
 
     state = {}
     offset = payload_offset
-    for entry in header["arrays"]:
+    for i, entry in enumerate(header["arrays"]):
+        require_keys(entry, ("name", "shape"), f"array entry {i} in the header at offset 12")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         end = offset + 4 * count

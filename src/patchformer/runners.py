@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import hashlib
 import json
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -141,15 +144,57 @@ def _run_fold(args):
     return row, history
 
 
+def _set_blas_threads(n: int) -> None:
+    """Cap numpy's bundled OpenBLAS at `n` threads in this process.
+
+    Does nothing when numpy bundles no OpenBLAS exposing a thread setter.
+    """
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*blas*")
+    for path in glob.glob(pattern):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(n)
+                return
+
+
+# What every fold of the run shares, set in each fold worker by the pool's
+# initializer: forked workers inherit it, so no task pickles the dataset.
+_fold_inputs: tuple | None = None
+
+
+def _init_fold_worker(blas_threads: int, ds: SegmentSet, mc: ModelConfig,
+                      tc: TrainConfig) -> None:
+    global _fold_inputs
+    _set_blas_threads(blas_threads)
+    _fold_inputs = (ds, mc, tc)
+
+
+def _run_worker_fold(subject: str, checkpoint_path):
+    return _run_fold((*_fold_inputs, subject, checkpoint_path))
+
+
 def run_loso(ds: SegmentSet, mc: ModelConfig, tc: TrainConfig,
              label: str | None = None, parallel_folds: int = 1,
              out_dir=None, log_fn=None) -> ExperimentReport:
-    """Train and test once per subject; aggregate mean +- std over subjects."""
+    """Train and test once per subject; aggregate mean +- std over subjects.
+
+    With `parallel_folds` > 1, folds run in up to that many forked worker
+    processes (never more than there are subjects), and each worker gets an
+    equal share of the CPUs as BLAS threads. `log_fn` receives one row per
+    fold as the fold finishes; the report keeps subject order either way.
+    """
     mc.validate()
     tc.validate()
     subjects = ds.subjects
     if len(subjects) < 2:
         raise ValueError("LOSO needs at least 2 subjects")
+    if parallel_folds < 1:
+        raise ValueError(f"parallel_folds must be at least 1, got {parallel_folds}")
 
     ckpt_dir = None
     if out_dir is not None:
@@ -159,22 +204,38 @@ def run_loso(ds: SegmentSet, mc: ModelConfig, tc: TrainConfig,
     def ckpt_path(subject):
         return None if ckpt_dir is None else ckpt_dir / f"{subject}.ckpt"
 
+    def log(row):
+        if log_fn is not None:
+            log_fn({"subject": row.subject, "acc": row.acc, "auc": row.auc,
+                    "macro_f1": row.macro_f1, "best_epoch": row.best_epoch})
+
     started = time.perf_counter()
-    tasks = [(ds, mc, tc, s, ckpt_path(s)) for s in subjects]
-    if parallel_folds > 1:
-        with ProcessPoolExecutor(max_workers=parallel_folds) as pool:
-            results = list(pool.map(_run_fold, tasks))
+    workers = min(parallel_folds, len(subjects))
+    if workers > 1:
+        # workers inherit numpy's default of one BLAS thread per CPU;
+        # left there, N workers would run N threads per CPU
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        share = max(1, cpus // workers)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_fold_worker,
+                                 initargs=(share, ds, mc, tc)) as pool:
+            futures = [pool.submit(_run_worker_fold, s, ckpt_path(s)) for s in subjects]
+            for future in as_completed(futures):
+                if future.exception() is None:
+                    log(future.result()[0])
+            # raises the error of the first failed fold in subject order
+            results = [future.result() for future in futures]
     else:
         results = []
-        for task in tasks:
-            row, history = _run_fold(task)
-            if log_fn is not None:
-                log_fn({"subject": row.subject, "acc": row.acc, "auc": row.auc,
-                        "macro_f1": row.macro_f1, "best_epoch": row.best_epoch})
+        for s in subjects:
+            row, history = _run_fold((ds, mc, tc, s, ckpt_path(s)))
+            log(row)
             results.append((row, history))
     wall = time.perf_counter() - started
 
-    rows = [r for r, _ in results]  # tasks are in sorted-subject order already
+    rows = [r for r, _ in results]  # subjects are in sorted order already
     return ExperimentReport(
         label=label if label is not None else mc.ablation,
         rows=rows,

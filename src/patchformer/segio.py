@@ -28,10 +28,33 @@ from .errors import DataFormatError
 MAGIC = b"EEGSEG01"
 _HEADER_LEN_OFFSET = 8
 _HEADER_OFFSET = 12
+_HEADER_KEYS = ("n", "c", "l", "f_s", "channel_names", "subject_ids", "labels")
 
 
 def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def require_keys(obj, keys, where: str) -> None:
+    """Raise DataFormatError unless `obj` is a JSON object holding every key in `keys`."""
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{where} is a JSON {type(obj).__name__}, expected an object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise DataFormatError(f"{where} lacks key(s) {', '.join(map(repr, missing))}")
+
+
+def decode_header(raw: bytes, end: int, keys) -> dict:
+    """The JSON header between offset 12 and `end`, holding every key in `keys`.
+
+    Shared with the checkpoint container, whose header sits at the same offset.
+    """
+    try:
+        header = json.loads(raw[_HEADER_OFFSET:end])
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"invalid JSON header at offset {_HEADER_OFFSET}: {exc}") from exc
+    require_keys(header, keys, f"header at offset {_HEADER_OFFSET}")
+    return header
 
 
 def save_segments(ds: SegmentSet, path) -> None:
@@ -66,10 +89,7 @@ def load_segments(path) -> SegmentSet:
     if payload_offset + 4 > len(raw):
         raise DataFormatError(f"header length {header_len} at offset {_HEADER_LEN_OFFSET} "
                               f"overruns the file ({len(raw)} bytes)")
-    try:
-        header = json.loads(raw[_HEADER_OFFSET:payload_offset])
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid JSON header at offset {_HEADER_OFFSET}: {exc}") from exc
+    header = decode_header(raw, payload_offset, _HEADER_KEYS)
 
     n, c, l = int(header["n"]), int(header["c"]), int(header["l"])
     expected = payload_offset + 4 * n * c * l + 4

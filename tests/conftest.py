@@ -1,4 +1,7 @@
+import json
+import struct
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -37,3 +40,20 @@ def small_loso_config():
 @pytest.fixture(scope="session")
 def high_snr_dataset():
     return synth_generate(3, 12, 6, 160, 40.0, SynthEffect(amplitude=3.0), Rng(21))
+
+
+@pytest.fixture
+def rewrite_header():
+    """rewrite(path, edit): replace the JSON header of a segment or checkpoint
+    file with edit(header), a new header object or raw bytes, and re-seal the
+    file with a valid CRC-32."""
+
+    def rewrite(path, edit):
+        raw = Path(path).read_bytes()
+        (length,) = struct.unpack_from("<I", raw, 8)
+        new = edit(json.loads(raw[12:12 + length]))
+        blob = new if isinstance(new, bytes) else json.dumps(new).encode()
+        body = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + length:-4]
+        Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+    return rewrite

@@ -204,6 +204,22 @@ class TestSegmentFile:
         with pytest.raises(DataFormatError, match="magic at offset 0"):
             load_segments(path)
 
+    @pytest.mark.parametrize("key", ["n", "labels", "channel_names"])
+    def test_header_missing_key_named(self, tmp_path, rewrite_header, key):
+        path = tmp_path / "d.seg"
+        save_segments(synth_generate(1, 2, 2, 16, 8.0, SynthEffect(), Rng(1)), path)
+        rewrite_header(path, lambda header: {k: v for k, v in header.items() if k != key})
+        with pytest.raises(DataFormatError, match=f"offset 12 lacks key\\(s\\) '{key}'"):
+            load_segments(path)
+
+    @pytest.mark.parametrize("blob", [b"\xff{}", b"{", b"[]"])
+    def test_undecodable_header(self, tmp_path, rewrite_header, blob):
+        path = tmp_path / "d.seg"
+        save_segments(synth_generate(1, 2, 2, 16, 8.0, SynthEffect(), Rng(1)), path)
+        rewrite_header(path, lambda header: blob)
+        with pytest.raises(DataFormatError, match="header at offset 12"):
+            load_segments(path)
+
     def test_truncation_detected(self, tmp_path):
         ds = synth_generate(1, 2, 2, 16, 8.0, SynthEffect(), Rng(1))
         path = tmp_path / "d.seg"

@@ -368,6 +368,44 @@ class TestCheckpoint:
         np.testing.assert_array_equal(load_model(path).forward(x).data,
                                       model.forward(x).data)
 
+    @pytest.mark.parametrize("where, key", [((), "config"), ((), "arrays"),
+                                            (("arrays", 0), "name"), (("arrays", 0), "shape")],
+                             ids=["config", "arrays", "entry-name", "entry-shape"])
+    def test_header_missing_key_named(self, tiny_config, tmp_path, rewrite_header, where, key):
+        path = tmp_path / "model.ckpt"
+        save_model(build(tiny_config, Rng(9)), path)
+
+        def drop(header):
+            parent = header
+            for step in where:
+                parent = parent[step]
+            del parent[key]
+            return header
+
+        rewrite_header(path, drop)
+        with pytest.raises(DataFormatError, match=f"lacks key\\(s\\) '{key}'"):
+            load_model(path)
+
+    def test_unknown_config_field_named(self, tiny_config, tmp_path, rewrite_header):
+        path = tmp_path / "model.ckpt"
+        save_model(build(tiny_config, Rng(9)), path)
+
+        def add_field(header):
+            header["config"]["n_experts"] = 4
+            return header
+
+        rewrite_header(path, add_field)
+        with pytest.raises(DataFormatError, match="n_experts"):
+            load_model(path)
+
+    @pytest.mark.parametrize("blob", [b"\xff{}", b"{", b"[]"])
+    def test_undecodable_header(self, tiny_config, tmp_path, rewrite_header, blob):
+        path = tmp_path / "model.ckpt"
+        save_model(build(tiny_config, Rng(9)), path)
+        rewrite_header(path, lambda header: blob)
+        with pytest.raises(DataFormatError, match="header at offset 12"):
+            load_model(path)
+
     def test_corruption_detected(self, tiny_config, tmp_path):
         model = build(tiny_config, Rng(9))
         path = tmp_path / "model.ckpt"

@@ -1,7 +1,11 @@
 """LOSO runner, ablations, sweep and report serialization."""
 
 import csv
+import ctypes
+import glob
 import json
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -20,6 +24,18 @@ from patchformer.runners import (
 from patchformer.rng import Rng
 from patchformer.synth import SynthEffect, synth_generate
 from patchformer.train import TrainConfig
+
+
+def _openblas(*symbols):
+    """The first of `symbols` that numpy's bundled OpenBLAS exports, or None."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*blas*")
+    for path in glob.glob(pattern):
+        lib = ctypes.CDLL(path)
+        for symbol in symbols:
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +73,64 @@ class TestRunLoso:
         seq = run_loso(micro_dataset, micro_config, micro_tc())
         par = run_loso(micro_dataset, micro_config, micro_tc(), parallel_folds=3)
         assert seq.canonical_bytes() == par.canonical_bytes()
+
+    def test_parallel_folds_log_every_fold(self, micro_dataset, micro_config):
+        seq, par = [], []
+        run_loso(micro_dataset, micro_config, micro_tc(), log_fn=seq.append)
+        run_loso(micro_dataset, micro_config, micro_tc(), parallel_folds=2, log_fn=par.append)
+        assert [row["subject"] for row in seq] == ["S01", "S02", "S03"]
+        assert sorted(par, key=lambda row: row["subject"]) == seq
+
+    def test_fold_workers_share_the_blas_threads(self, micro_dataset, micro_config,
+                                                 monkeypatch):
+        getter = _openblas("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                           "openblas_get_num_threads")
+        setter = _openblas("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                           "openblas_set_num_threads")
+        if getter is None or setter is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS with a thread getter and setter")
+        getter.argtypes, getter.restype = [], ctypes.c_int
+
+        def report_threads(model, fold, tc, rng):  # best_epoch carries the worker's count
+            return model.state_dict(), getter(), []
+
+        monkeypatch.setattr(runners, "train", report_threads)
+        before = getter()
+        report = run_loso(micro_dataset, micro_config, micro_tc(), parallel_folds=2)
+        share = max(1, len(os.sched_getaffinity(0)) // 2)
+        assert [r.best_epoch for r in report.rows] == [share] * 3
+        assert getter() == before
+
+    def test_pool_never_outnumbers_subjects(self, micro_dataset, micro_config, monkeypatch):
+        seen = {}
+
+        class RecordingPool:  # runs no fold: each future holds a stand-in row
+            def __init__(self, max_workers, initializer, initargs):
+                seen.update(max_workers=max_workers, initargs=initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, subject, checkpoint_path):
+                future = Future()
+                future.set_result((SubjectResult(subject, 50.0, 0.5, 50.0, 0, 1), []))
+                return future
+
+        monkeypatch.setattr(runners, "ProcessPoolExecutor", RecordingPool)
+        report = run_loso(micro_dataset, micro_config, micro_tc(), parallel_folds=64)
+        assert seen["max_workers"] == 3
+        assert seen["initargs"][0] == max(1, len(os.sched_getaffinity(0)) // 3)  # BLAS threads
+        assert [r.subject for r in report.rows] == ["S01", "S02", "S03"]
+
+    @pytest.mark.parametrize("parallel_folds", [0, -2])
+    def test_parallel_folds_below_one_rejected(self, micro_dataset, micro_config,
+                                               parallel_folds):
+        with pytest.raises(ValueError, match=f"parallel_folds must be at least 1, got "
+                                             f"{parallel_folds}"):
+            run_loso(micro_dataset, micro_config, micro_tc(), parallel_folds=parallel_folds)
 
     def test_needs_two_subjects(self, micro_config):
         ds = synth_generate(1, 4, 4, 64, 16.0, SynthEffect(), Rng(0))
