@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .config import ModelConfig, reference_config, reference_config_short_kernel
+from .config import ModelConfig, reference_config
 from .data import LosoFold, Recording, SegmentSet, downsample, loso_split, segment
 from .errors import (
     ConfigurationError,
@@ -19,7 +19,7 @@ from .model import PatchFormerModel, aggregate, build, param_count
 from .rng import Rng
 from .runners import ExperimentReport, ablate, run_loso, sweep_patch_length
 from .synth import SynthEffect, synth_generate
-from .tensor import Parameter, Tensor
+from .tensor import Tensor
 from .train import TrainConfig, evaluate_segments, train
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "LosoFold",
     "MetricUndefinedError",
     "ModelConfig",
-    "Parameter",
     "PatchFormerError",
     "PatchFormerModel",
     "Recording",
@@ -53,7 +52,6 @@ __all__ = [
     "macro_f1",
     "param_count",
     "reference_config",
-    "reference_config_short_kernel",
     "roc_auc",
     "run_loso",
     "segment",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
+import typing
 import zlib
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .config import ModelConfig
 from .errors import DataFormatError
 from .model import PatchFormerModel, build
 from .rng import Rng
-from .segio import decode_header, require_keys
+from .segio import check_types, decode_header, require_keys
 
 MAGIC = b"EEGPFCK1"
 FORMAT_VERSION = 1
@@ -52,7 +53,8 @@ def load_model(path, dtype=np.float32) -> PatchFormerModel:
     payload_offset = 12 + header_len
     if payload_offset + 4 > len(raw):
         raise DataFormatError(f"header length {header_len} overruns the file ({len(raw)} bytes)")
-    header = decode_header(raw, payload_offset, ("format_version", "config", "arrays"))
+    header = decode_header(raw, payload_offset,
+                           {"format_version": int, "config": dict, "arrays": list})
     if header["format_version"] != FORMAT_VERSION:
         raise DataFormatError(f"unsupported checkpoint format version {header['format_version']}")
 
@@ -61,17 +63,22 @@ def load_model(path, dtype=np.float32) -> PatchFormerModel:
     if stored_crc != zlib.crc32(raw[:crc_offset]):
         raise DataFormatError(f"checksum mismatch at offset {crc_offset}")
 
+    where = "checkpoint config in the header at offset 12"
+    check_types(header["config"], typing.get_type_hints(ModelConfig), where)
     try:
         config = ModelConfig.from_dict(header["config"])
     except TypeError as exc:  # the message names the unknown or missing field
-        raise DataFormatError(f"checkpoint config in the header at offset 12: {exc}") from exc
+        raise DataFormatError(f"{where}: {exc}") from exc
     model = build(config, Rng(0), dtype=dtype)
 
     state = {}
     offset = payload_offset
     for i, entry in enumerate(header["arrays"]):
-        require_keys(entry, ("name", "shape"), f"array entry {i} in the header at offset 12")
+        where = f"array entry {i} in the header at offset 12"
+        require_keys(entry, {"name": str, "shape": list}, where)
         shape = tuple(entry["shape"])
+        if not all(type(d) is int and d >= 0 for d in shape):
+            raise DataFormatError(f"{where}: shape {entry['shape']} is not a list of sizes")
         count = int(np.prod(shape)) if shape else 1
         end = offset + 4 * count
         if end > crc_offset:

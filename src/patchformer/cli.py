@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import ABLATIONS, TOKEN_GRANULARITIES, ModelConfig
 from .data import downsample, loso_split, segment
-from .errors import PatchFormerError
+from .errors import ConfigurationError, PatchFormerError
 from .model import build, param_count
 from .rng import Rng
 from .segio import load_recording_csv, load_segments, save_segments
@@ -208,6 +208,8 @@ def cmd_preprocess(args) -> int:
 
 
 def _resolve_run(args):
+    if args.parallel_folds < 1:
+        raise ConfigurationError(f"--parallel-folds must be at least 1, got {args.parallel_folds}")
     ds = load_segments(args.data)
     mc = _model_config(args, ds)
     tc = _train_config(args)

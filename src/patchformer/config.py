@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 from .errors import ConfigurationError
 
@@ -40,25 +40,8 @@ ABLATIONS = ("full", "no_fem", "no_spm", "no_overlap")
 TOKEN_GRANULARITIES = ("patch_window", "window")
 
 
-@dataclass
-class LocalGraphSpec:
-    """One scalp region: a 1-based index and the channels it covers."""
-
-    index: int
-    channels: list
-
-    @property
-    def c_n(self) -> int:
-        return len(self.channels)
-
-
-def standard_local_graph_specs() -> list[LocalGraphSpec]:
-    """The 11-region grouping of the standard 28-channel montage, by name."""
-    return [LocalGraphSpec(i + 1, list(g)) for i, g in enumerate(STANDARD_28_GROUPS)]
-
-
 def standard_local_graph_indices() -> list[list[int]]:
-    """Same grouping as channel indices into STANDARD_28_CHANNELS."""
+    """The 11-region grouping as channel indices into STANDARD_28_CHANNELS."""
     pos = {name: i for i, name in enumerate(STANDARD_28_CHANNELS)}
     return [[pos[name] for name in group] for group in STANDARD_28_GROUPS]
 
@@ -233,7 +216,3 @@ def reference_config(**overrides) -> ModelConfig:
     base.update(overrides)
     return ModelConfig(**base)
 
-
-def reference_config_short_kernel(**overrides) -> ModelConfig:
-    """Compatibility preset: identical to reference_config but with a (1, 100) kernel."""
-    return reference_config(temporal_kernel_len=100, **overrides)

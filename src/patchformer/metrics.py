@@ -34,16 +34,15 @@ def roc_auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError("ROC AUC needs both classes present")
 
+    # ties share the average 1-based rank of the sorted positions they span,
+    # a half-integer and so exact; a stable sort and `!=` keep NaNs untied
+    n = len(scores)
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    first = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    last = np.r_[first[1:], n] - 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum_pos = ranks[labels == 1].sum()
     return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -14,8 +14,6 @@ ablation flags rewire exactly one stage each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ModelConfig
@@ -23,7 +21,6 @@ from .errors import ConfigurationError, ShapeError
 from .rng import Rng
 from .tensor import (
     BatchNormState,
-    Parameter,
     Tensor,
     avg_pool_time,
     batch_norm,
@@ -40,42 +37,12 @@ from .tensor import (
 )
 
 
-@dataclass
-class ConvBlock:
-    kernels: Parameter
-    bias: Parameter
-    bn: BatchNormState
-
-
-@dataclass
-class LinearBlock:
-    weight: Parameter
-    bias: Parameter
-
-
-@dataclass
-class NormBlock:
-    gamma: Parameter
-    beta: Parameter
-
-
-@dataclass
-class EncoderLayer:
-    wq: LinearBlock
-    wk: LinearBlock
-    wv: LinearBlock
-    wo: LinearBlock
-    norm1: NormBlock
-    ffn_in: LinearBlock
-    ffn_out: LinearBlock
-    norm2: NormBlock
-
-
 def parameter_shapes(config: ModelConfig) -> dict:
     """Ordered name -> shape map of every trainable parameter.
 
-    This is the single source of truth shared by build(), param_count() and
-    the checkpoint format.
+    This is the single source of truth shared by build(), param_count(), the
+    stage methods, which read their weights by these names, and the
+    checkpoint format.
     """
     k, d = config.k, config.l_token
     shapes: dict = {}
@@ -137,130 +104,103 @@ def param_count(config: ModelConfig) -> int:
     return sum(int(np.prod(s)) for s in parameter_shapes(config).values())
 
 
-def _init_value(name: str, shape: tuple, rng: Rng) -> tuple[np.ndarray, str]:
-    """Initializer policy: what array a parameter starts from, and its spec tag."""
+def _init_value(name: str, shape: tuple, rng: Rng) -> np.ndarray:
+    """Initializer policy: what array a parameter starts from."""
     if name == "spm.local.weight":
-        return np.ones(shape), "ones"
+        return np.ones(shape)
     if name.endswith("bn.gamma") or name.endswith("norm1.gamma") or name.endswith("norm2.gamma"):
-        return np.ones(shape), "ones"
+        return np.ones(shape)
     if name == "tpm.pos":
-        return rng.normal(0.0, 0.02, shape), "normal(0, 0.02)"
+        return rng.normal(0.0, 0.02, shape)
     if name.endswith(".bias") or name.endswith(".beta") or name == "spm.local.bias":
-        return np.zeros(shape), "zeros"
+        return np.zeros(shape)
     if name.endswith("kernels"):
         fan_in = int(np.prod(shape[1:]))
     else:  # 2-D projection weights
         fan_in = shape[0]
     bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape), f"uniform(+-1/sqrt({fan_in}))"
+    return rng.uniform(-bound, bound, shape)
 
 
 class PatchFormerModel:
-    """Parameter set plus the forward computation of all five stages."""
+    """Named parameters and buffers plus the forward computation of all five stages.
+
+    `parameters` maps each name of parameter_shapes() to a leaf tensor that
+    requires grad; `buffers` maps each name of buffer_shapes() to an array.
+    Each stage reads its weights from them by name.
+    """
 
     def __init__(self, config: ModelConfig, dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype)
-        self._params: dict[str, Parameter] = {}
-        self._buffers: dict[str, np.ndarray] = {}
-        self.tcnn: ConvBlock | None = None
-        self.fem: ConvBlock | None = None
-        self.local_weight: Parameter | None = None
-        self.local_bias: Parameter | None = None
-        self.global_conv: ConvBlock | None = None
-        self.tpm_proj: LinearBlock | None = None
-        self.pos: Parameter | None = None
-        self.layers: list[EncoderLayer] = []
-        self.head: LinearBlock | None = None
+        self.parameters: dict[str, Tensor] = {}
+        self.buffers: dict[str, np.ndarray] = {}
 
     # -- parameter bookkeeping ---------------------------------------------
 
-    def _register(self, name: str, array: np.ndarray, init_spec: str) -> Parameter:
-        p = Parameter(Tensor(array.astype(self.dtype)), name, init_spec)
-        if name in self._params:
-            raise ConfigurationError(f"duplicate parameter name {name!r}")
-        self._params[name] = p
-        return p
-
-    @property
-    def parameters(self) -> dict[str, Parameter]:
-        return self._params
-
-    @property
-    def buffers(self) -> dict[str, np.ndarray]:
-        return self._buffers
-
     def zero_grad(self):
-        for p in self._params.values():
-            p.zero_grad()
+        for p in self.parameters.values():
+            p.grad = None
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copies of every parameter and buffer, keyed by name."""
-        state = {name: p.data.copy() for name, p in self._params.items()}
-        state.update({name: b.copy() for name, b in self._buffers.items()})
+        state = {name: p.data.copy() for name, p in self.parameters.items()}
+        state.update({name: b.copy() for name, b in self.buffers.items()})
         return state
 
     def load_state(self, state: dict):
-        for name, p in self._params.items():
+        targets = {name: p.data for name, p in self.parameters.items()}
+        targets.update(self.buffers)
+        for name, dst in targets.items():
             src = np.asarray(state[name], dtype=self.dtype)
-            if src.shape != p.data.shape:
-                raise ShapeError(f"state for {name!r} has shape {src.shape}, expected {p.data.shape}")
-            p.data[...] = src
-        for name, buf in self._buffers.items():
-            src = np.asarray(state[name], dtype=self.dtype)
-            if src.shape != buf.shape:
-                raise ShapeError(f"state for {name!r} has shape {src.shape}, expected {buf.shape}")
-            buf[...] = src
+            if src.shape != dst.shape:
+                raise ShapeError(f"state for {name!r} has shape {src.shape}, expected {dst.shape}")
+            dst[...] = src
 
-    def _bn_state(self, prefix: str) -> BatchNormState:
-        k = self.config.k
-        self._buffers[f"{prefix}.running_mean"] = np.zeros(k, dtype=self.dtype)
-        self._buffers[f"{prefix}.running_var"] = np.ones(k, dtype=self.dtype)
-        return BatchNormState(
-            gamma=self._params[f"{prefix}.gamma"].tensor,
-            beta=self._params[f"{prefix}.beta"].tensor,
-            running_mean=self._buffers[f"{prefix}.running_mean"],
-            running_var=self._buffers[f"{prefix}.running_var"],
-        )
+    def _bn(self, prefix: str) -> BatchNormState:
+        """The batch-norm layer named `prefix`; its running statistics update in place."""
+        p, b = self.parameters, self.buffers
+        return BatchNormState(p[f"{prefix}.gamma"], p[f"{prefix}.beta"],
+                              b[f"{prefix}.running_mean"], b[f"{prefix}.running_var"])
 
     # -- forward stages ------------------------------------------------------
-
-    def _tensor(self, name: str) -> Tensor:
-        return self._params[name].tensor
 
     def temporal_cnn(self, x: Tensor, mode: str = "eval") -> Tensor:
         """(B, 1, c, l) -> (B, k, c, l/4)."""
         cfg = self.config
         if x.ndim != 4 or x.shape[1] != 1 or x.shape[2] != cfg.c or x.shape[3] != cfg.l:
             raise ShapeError(f"expected input (B, 1, {cfg.c}, {cfg.l}), got {x.shape}")
-        z = conv_temporal(x, self.tcnn.kernels.tensor, self.tcnn.bias.tensor)
-        z = batch_norm(z, self.tcnn.bn, mode)
+        w = self.parameters
+        z = conv_temporal(x, w["tcnn.kernels"], w["tcnn.bias"])
+        z = batch_norm(z, self._bn("tcnn.bn"), mode)
         z = leaky_relu(z, cfg.leaky_slope)
         return avg_pool_time(z, 4, 4)
 
     def feature_enhance(self, x: Tensor, mode: str = "eval") -> Tensor:
         """(B, k, c, l/4) -> (B, k, c, l/8): 1x1 feature-map mixing, pool 2."""
-        if self.fem is None:
+        if not self.config.has_fem:
             raise ConfigurationError("model was built without the feature-enhancement stage")
-        z = conv_temporal(x, self.fem.kernels.tensor, self.fem.bias.tensor)
-        z = batch_norm(z, self.fem.bn, mode)
+        w = self.parameters
+        z = conv_temporal(x, w["fem.kernels"], w["fem.bias"])
+        z = batch_norm(z, self._bn("fem.bn"), mode)
         z = leaky_relu(z, self.config.leaky_slope)
         return avg_pool_time(z, 2, 2)
 
     def spm_local_filter(self, x: Tensor) -> Tensor:
         """(B, k, c, T) -> (B, c, k*T): elementwise gate W .* z - b under ReLU."""
-        if self.local_weight is None:
+        if not self.config.has_spm:
             raise ConfigurationError("model was built without the spatial-patching stage")
         b, k, c, t = x.shape
         z = x.transpose(0, 2, 1, 3).reshape(b, c, k * t)
-        return relu(z * self.local_weight.tensor - self.local_bias.tensor)
+        return relu(z * self.parameters["spm.local.weight"] - self.parameters["spm.local.bias"])
 
     def spm_global(self, x: Tensor, mode: str = "eval") -> Tensor:
         """(B, k, c, T) -> (B, 1, k, T): full-height convolution over channels."""
-        if self.global_conv is None:
+        if not self.config.has_spm:
             raise ConfigurationError("model was built without the spatial-patching stage")
-        z = conv_spatial(x, self.global_conv.kernels.tensor, self.global_conv.bias.tensor)
-        z = batch_norm(z, self.global_conv.bn, mode)
+        w = self.parameters
+        z = conv_spatial(x, w["spm.global.kernels"], w["spm.global.bias"])
+        z = batch_norm(z, self._bn("spm.global.bn"), mode)
         z = leaky_relu(z, self.config.leaky_slope)
         # pool of length/step 1 keeps the time axes of both branches aligned
         z = avg_pool_time(z, 1, 1)
@@ -292,28 +232,29 @@ class PatchFormerModel:
         else:
             # patch-major ordering: all windows of patch 0, then patch 1, ...
             tok = win.transpose(0, 1, 3, 2, 4).reshape(b, p * n_w, k * cfg.l_t)
-        tok = linear(tok, self.tpm_proj.weight.tensor, self.tpm_proj.bias.tensor)
-        if self.pos is not None:
-            tok = tok + self.pos.tensor
+        w = self.parameters
+        tok = linear(tok, w["tpm.proj.weight"], w["tpm.proj.bias"])
+        if cfg.positional_embedding:
+            tok = tok + w["tpm.pos"]
         return tok
 
     def transformer_encode(self, x: Tensor, mode: str = "eval", rng: Rng | None = None) -> Tensor:
         """(B, q, l_token) -> (B, q, l_token): post-norm residual encoder stack."""
         cfg = self.config
-        for layer in self.layers:
+        w = self.parameters
+        for i in range(cfg.n_layers):
+            base = f"transformer.{i}"
             attn = multi_head_attention(
                 x, cfg.n_head,
-                layer.wq.weight.tensor, layer.wq.bias.tensor,
-                layer.wk.weight.tensor, layer.wk.bias.tensor,
-                layer.wv.weight.tensor, layer.wv.bias.tensor,
-                layer.wo.weight.tensor, layer.wo.bias.tensor,
+                *(w[f"{base}.attn.{name}.{part}"]
+                  for name in ("wq", "wk", "wv", "wo") for part in ("weight", "bias")),
                 dropout_p=cfg.dropout_p, rng=rng, mode=mode,
             )
-            x = layer_norm(x + attn, layer.norm1.gamma.tensor, layer.norm1.beta.tensor)
-            h = relu(linear(x, layer.ffn_in.weight.tensor, layer.ffn_in.bias.tensor))
-            h = linear(h, layer.ffn_out.weight.tensor, layer.ffn_out.bias.tensor)
+            x = layer_norm(x + attn, w[f"{base}.norm1.gamma"], w[f"{base}.norm1.beta"])
+            h = relu(linear(x, w[f"{base}.ffn_in.weight"], w[f"{base}.ffn_in.bias"]))
+            h = linear(h, w[f"{base}.ffn_out.weight"], w[f"{base}.ffn_out.bias"])
             h = dropout(h, cfg.dropout_p, rng, mode)
-            x = layer_norm(x + h, layer.norm2.gamma.tensor, layer.norm2.beta.tensor)
+            x = layer_norm(x + h, w[f"{base}.norm2.gamma"], w[f"{base}.norm2.beta"])
         return x
 
     def forward(self, x, mode: str = "eval", rng: Rng | None = None) -> Tensor:
@@ -339,7 +280,7 @@ class PatchFormerModel:
         tok = self.transformer_encode(tok, mode, rng)
         flat = tok.reshape(x.shape[0], cfg.n_tokens * cfg.l_token)
         flat = dropout(flat, cfg.dropout_p, rng, mode)
-        return linear(flat, self.head.weight.tensor, self.head.bias.tensor)
+        return linear(flat, self.parameters["head.weight"], self.parameters["head.bias"])
 
 
 def aggregate(z: Tensor, regions: list) -> Tensor:
@@ -368,40 +309,14 @@ def aggregate(z: Tensor, regions: list) -> Tensor:
 
 
 def build(config: ModelConfig, rng: Rng, dtype=np.float32) -> PatchFormerModel:
-    """Allocate and initialize every parameter; deterministic given the seed."""
+    """Allocate and initialize every parameter and buffer; deterministic given the seed."""
     config.validate()
     model = PatchFormerModel(config, dtype=dtype)
     init_rng = rng.spawn("init")
     for name, shape in parameter_shapes(config).items():
-        value, spec = _init_value(name, shape, init_rng)
-        model._register(name, value, spec)
-
-    p = model._params
-    model.tcnn = ConvBlock(p["tcnn.kernels"], p["tcnn.bias"], model._bn_state("tcnn.bn"))
-    if config.has_fem:
-        model.fem = ConvBlock(p["fem.kernels"], p["fem.bias"], model._bn_state("fem.bn"))
-    if config.has_spm:
-        model.local_weight = p["spm.local.weight"]
-        model.local_bias = p["spm.local.bias"]
-        model.global_conv = ConvBlock(
-            p["spm.global.kernels"], p["spm.global.bias"], model._bn_state("spm.global.bn")
-        )
-    model.tpm_proj = LinearBlock(p["tpm.proj.weight"], p["tpm.proj.bias"])
-    if config.positional_embedding:
-        model.pos = p["tpm.pos"]
-    for i in range(config.n_layers):
-        base = f"transformer.{i}"
-        model.layers.append(
-            EncoderLayer(
-                wq=LinearBlock(p[f"{base}.attn.wq.weight"], p[f"{base}.attn.wq.bias"]),
-                wk=LinearBlock(p[f"{base}.attn.wk.weight"], p[f"{base}.attn.wk.bias"]),
-                wv=LinearBlock(p[f"{base}.attn.wv.weight"], p[f"{base}.attn.wv.bias"]),
-                wo=LinearBlock(p[f"{base}.attn.wo.weight"], p[f"{base}.attn.wo.bias"]),
-                norm1=NormBlock(p[f"{base}.norm1.gamma"], p[f"{base}.norm1.beta"]),
-                ffn_in=LinearBlock(p[f"{base}.ffn_in.weight"], p[f"{base}.ffn_in.bias"]),
-                ffn_out=LinearBlock(p[f"{base}.ffn_out.weight"], p[f"{base}.ffn_out.bias"]),
-                norm2=NormBlock(p[f"{base}.norm2.gamma"], p[f"{base}.norm2.beta"]),
-            )
-        )
-    model.head = LinearBlock(p["head.weight"], p["head.bias"])
+        value = _init_value(name, shape, init_rng).astype(model.dtype)
+        model.parameters[name] = Tensor(value, requires_grad=True)
+    for name, shape in buffer_shapes(config).items():
+        fill = np.ones if name.endswith("running_var") else np.zeros
+        model.buffers[name] = fill(shape, dtype=model.dtype)
     return model

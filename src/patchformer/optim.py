@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrainingDivergedError
-from .tensor import Parameter
+from .tensor import Tensor
 
 
 def cosine_lr(t: int, period: int, lr0: float, eta_min: float = 0.0) -> float:
@@ -27,7 +27,7 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: dict) -> "AdamState":
+    def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
         state = cls()
         for name, p in params.items():
             state.m[name] = np.zeros_like(p.data)
@@ -35,7 +35,7 @@ class AdamState:
         return state
 
 
-def adam_step(params: dict[str, Parameter], state: AdamState, lr: float,
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
               weight_decay: float = 0.0, decoupled_decay: bool = False) -> None:
     """One bias-corrected update over all parameters, in place.

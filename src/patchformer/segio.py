@@ -17,6 +17,8 @@ from __future__ import annotations
 import csv
 import json
 import struct
+import types
+import typing
 import zlib
 from pathlib import Path
 
@@ -28,24 +30,46 @@ from .errors import DataFormatError
 MAGIC = b"EEGSEG01"
 _HEADER_LEN_OFFSET = 8
 _HEADER_OFFSET = 12
-_HEADER_KEYS = ("n", "c", "l", "f_s", "channel_names", "subject_ids", "labels")
+_HEADER_TYPES = {"n": int, "c": int, "l": int, "f_s": float, "channel_names": list,
+                 "subject_ids": list, "labels": list}
+_OPTIONAL_TYPES = {"generator_metadata": dict | None}
 
 
 def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-def require_keys(obj, keys, where: str) -> None:
-    """Raise DataFormatError unless `obj` is a JSON object holding every key in `keys`."""
+def require_keys(obj, keys: dict, where: str) -> None:
+    """Raise DataFormatError unless `obj` is a JSON object holding every key of
+    `keys`, each with a value of the type the key maps to (see check_types)."""
     if not isinstance(obj, dict):
         raise DataFormatError(f"{where} is a JSON {type(obj).__name__}, expected an object")
     missing = [k for k in keys if k not in obj]
     if missing:
         raise DataFormatError(f"{where} lacks key(s) {', '.join(map(repr, missing))}")
+    check_types(obj, keys, where)
 
 
-def decode_header(raw: bytes, end: int, keys) -> dict:
-    """The JSON header between offset 12 and `end`, holding every key in `keys`.
+def check_types(obj: dict, expected: dict, where: str) -> None:
+    """Raise DataFormatError if a key of `expected` that `obj` holds has a value
+    of another type. A type is a class or a union such as `int | None`; float
+    also accepts an integer, and only bool accepts true and false."""
+    for key, kind in expected.items():
+        if key not in obj:
+            continue
+        value = obj[key]
+        allowed = typing.get_args(kind) if isinstance(kind, types.UnionType) else (kind,)
+        if float in allowed:
+            allowed += (int,)
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            name = getattr(kind, "__name__", kind)
+            raise DataFormatError(f"{where}: key {key!r} is a JSON {type(value).__name__}, "
+                                  f"expected {name}")
+
+
+def decode_header(raw: bytes, end: int, keys: dict) -> dict:
+    """The JSON header between offset 12 and `end`, holding every key of `keys`
+    with a value of the type it maps to.
 
     Shared with the checkpoint container, whose header sits at the same offset.
     """
@@ -89,7 +113,8 @@ def load_segments(path) -> SegmentSet:
     if payload_offset + 4 > len(raw):
         raise DataFormatError(f"header length {header_len} at offset {_HEADER_LEN_OFFSET} "
                               f"overruns the file ({len(raw)} bytes)")
-    header = decode_header(raw, payload_offset, _HEADER_KEYS)
+    header = decode_header(raw, payload_offset, _HEADER_TYPES)
+    check_types(header, _OPTIONAL_TYPES, f"header at offset {_HEADER_OFFSET}")
 
     n, c, l = int(header["n"]), int(header["c"]), int(header["l"])
     expected = payload_offset + 4 * n * c * l + 4

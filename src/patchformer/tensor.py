@@ -314,36 +314,6 @@ class Tensor:
                 flowing[id(parent)] = pg if cur is None else cur + pg
 
 
-class Parameter:
-    """A named trainable tensor.
-
-    Gradients accumulate additively across backward passes until zeroed;
-    the name is the stable key used by the optimizer and checkpoints.
-    """
-
-    __slots__ = ("tensor", "name", "init_spec")
-
-    def __init__(self, tensor: Tensor, name: str, init_spec: str = ""):
-        tensor.requires_grad = True
-        self.tensor = tensor
-        self.name = name
-        self.init_spec = init_spec
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-    def zero_grad(self):
-        self.tensor.grad = None
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
-
-
 # ---------------------------------------------------------------------------
 # activations and simple elementwise ops
 # ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ def full_model_grad_check(eps: float = 1e-5, seed: int = 3) -> float:
     model.forward(Tensor(x_np), mode="train", rng=Rng(seed))  # warm BN stats
 
     x = Tensor(x_np, dtype=np.float64)
-    inputs = [x] + [p.tensor for p in model.parameters.values()]
+    inputs = [x, *model.parameters.values()]
 
     def f(*tensors):
         return cross_entropy(model.forward(tensors[0], mode="eval"), labels)

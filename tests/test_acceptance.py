@@ -75,8 +75,8 @@ def test_criterion_02_shape_oracle():
 
         enc = model.transformer_encode(tok)
         assert enc.shape == (2, 264, 32)
-        logits = linear(enc.reshape(2, 264 * 32), model.head.weight.tensor,
-                        model.head.bias.tensor)
+        logits = linear(enc.reshape(2, 264 * 32), model.parameters["head.weight"],
+                        model.parameters["head.bias"])
         assert logits.shape == (2, 2)
 
 

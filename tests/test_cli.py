@@ -153,6 +153,18 @@ class TestRuns:
         assert code == 1
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["loso", "ablate", "sweep"])
+    def test_parallel_folds_below_one_rejected_before_manifest(self, toy_seg, tmp_path,
+                                                              capsys, command):
+        out = tmp_path / command
+        extra = {"ablate": ["--variant", "no_fem"], "sweep": ["--lengths", "4"]}.get(command, [])
+        code = main([command, "--data", str(toy_seg), "--out", str(out), "--quiet",
+                     *TOY_MODEL, *TOY_TRAIN, *extra, "--parallel-folds", "0"])
+        assert code == 1
+        assert not (out / "manifest.json").exists()
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigurationError" and "--parallel-folds" in err["message"]
+
     def test_print_config_runs_nothing(self, toy_seg, tmp_path, capsys):
         out = tmp_path / "nope"
         assert main(["loso", "--data", str(toy_seg), "--out", str(out),

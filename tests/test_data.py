@@ -212,11 +212,18 @@ class TestSegmentFile:
         with pytest.raises(DataFormatError, match=f"offset 12 lacks key\\(s\\) '{key}'"):
             load_segments(path)
 
-    @pytest.mark.parametrize("blob", [b"\xff{}", b"{", b"[]"])
+    # raw bytes replace the header; a function edits it into values of the wrong type
+    @pytest.mark.parametrize("blob", [
+        b"\xff{}", b"{", b"[]",
+        pytest.param(lambda header: {**header, "n": "x"}, id="n-str"),
+        pytest.param(lambda header: {**header, "c": True}, id="c-bool"),
+        pytest.param(lambda header: {**header, "labels": 1}, id="labels-int"),
+        pytest.param(lambda header: {**header, "generator_metadata": "ab"}, id="metadata-str"),
+    ])
     def test_undecodable_header(self, tmp_path, rewrite_header, blob):
         path = tmp_path / "d.seg"
         save_segments(synth_generate(1, 2, 2, 16, 8.0, SynthEffect(), Rng(1)), path)
-        rewrite_header(path, lambda header: blob)
+        rewrite_header(path, blob if callable(blob) else lambda header: blob)
         with pytest.raises(DataFormatError, match="header at offset 12"):
             load_segments(path)
 

@@ -10,7 +10,7 @@ from patchformer.errors import MetricUndefinedError
 from patchformer.losses import cross_entropy
 from patchformer.metrics import accuracy, macro_f1, roc_auc
 from patchformer.optim import AdamState, adam_step, cosine_lr
-from patchformer.tensor import Parameter, Tensor
+from patchformer.tensor import Tensor
 
 import oracles
 
@@ -155,11 +155,11 @@ class TestCosineSchedule:
 
 class TestAdam:
     def _param(self, value):
-        return {"w": Parameter(Tensor(np.array(value, dtype=np.float64)), "w")}
+        return {"w": Tensor(np.array(value, dtype=np.float64), requires_grad=True)}
 
     def test_zero_grad_no_decay_keeps_params(self):
         params = self._param([1.0, -2.0])
-        params["w"].tensor.grad = np.zeros(2)
+        params["w"].grad = np.zeros(2)
         state = AdamState.for_params(params)
         adam_step(params, state, lr=0.1, weight_decay=0.0)
         np.testing.assert_array_equal(params["w"].data, [1.0, -2.0])
@@ -167,7 +167,7 @@ class TestAdam:
     def test_first_step_magnitude(self):
         # w=0, g=1, lr=0.1: bias-corrected first step is lr/(1+eps) ~ 0.1
         params = self._param(0.0)
-        params["w"].tensor.grad = np.array(1.0)
+        params["w"].grad = np.array(1.0)
         state = AdamState.for_params(params)
         adam_step(params, state, lr=0.1)
         assert float(params["w"].data) == pytest.approx(-0.1, rel=1e-6)
@@ -178,7 +178,7 @@ class TestAdam:
         state = AdamState.for_params(params)
         previous = 4.0
         for _ in range(20):
-            params["w"].tensor.grad = np.array(0.0)
+            params["w"].grad = np.array(0.0)
             adam_step(params, state, lr=0.01, weight_decay=0.1)
             value = float(params["w"].data)
             assert 0.0 < value < previous
@@ -188,7 +188,7 @@ class TestAdam:
         from patchformer.errors import TrainingDivergedError
 
         params = self._param(1.0)
-        params["w"].tensor.grad = np.array(np.nan)
+        params["w"].grad = np.array(np.nan)
         with pytest.raises(TrainingDivergedError, match="'w'"):
             adam_step(params, AdamState.for_params(params), lr=0.1)
 
@@ -200,13 +200,13 @@ class TestAdam:
 
     def test_lr_zero_is_a_no_op(self):
         params = self._param([1.0, -2.0])
-        params["w"].tensor.grad = np.array([5.0, -7.0])
+        params["w"].grad = np.array([5.0, -7.0])
         adam_step(params, AdamState.for_params(params), lr=0.0, weight_decay=1e-5)
         np.testing.assert_array_equal(params["w"].data, [1.0, -2.0])
 
     def test_decoupled_decay_exact_shrinkage(self):
         params = self._param(4.0)
         state = AdamState.for_params(params)
-        params["w"].tensor.grad = np.array(0.0)
+        params["w"].grad = np.array(0.0)
         adam_step(params, state, lr=0.1, weight_decay=0.01, decoupled_decay=True)
         assert float(params["w"].data) == pytest.approx(4.0 - 0.1 * 0.01 * 4.0)

@@ -1,20 +1,21 @@
 """Architecture: configuration, shapes, patching semantics, checkpoints."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from patchformer.checkpoint import load_model, save_model
 from patchformer.config import (
+    ABLATIONS,
     ModelConfig,
     STANDARD_28_CHANNELS,
     STANDARD_28_GROUPS,
     reference_config,
-    reference_config_short_kernel,
     standard_local_graph_indices,
-    standard_local_graph_specs,
 )
 from patchformer.errors import ConfigurationError, DataFormatError, ShapeError
-from patchformer.model import aggregate, build, param_count, parameter_shapes
+from patchformer.model import aggregate, buffer_shapes, build, param_count, parameter_shapes
 from patchformer.rng import Rng
 from patchformer.tensor import Tensor, softmax
 
@@ -23,11 +24,11 @@ import oracles
 
 class TestStandardGrouping:
     def test_sizes_and_total(self):
-        specs = standard_local_graph_specs()
-        assert [s.c_n for s in specs] == [2, 3, 2, 4, 3, 4, 5, 1, 2, 1, 1]
-        assert sum(s.c_n for s in specs) == 28
-        assert len(specs) == 11
-        assert specs[7].channels == ["POz"]  # the singleton parieto-occipital region
+        groups = STANDARD_28_GROUPS
+        assert [len(g) for g in groups] == [2, 3, 2, 4, 3, 4, 5, 1, 2, 1, 1]
+        assert sum(len(g) for g in groups) == 28
+        assert len(groups) == 11
+        assert groups[7] == ["POz"]  # the singleton parieto-occipital region
 
     def test_indices_partition_the_montage(self):
         idx = standard_local_graph_indices()
@@ -42,7 +43,6 @@ class TestConfigValidation:
         cfg = reference_config()
         cfg.validate()
         assert cfg.kernel_len == 125
-        assert reference_config_short_kernel().kernel_len == 100
 
     def test_out_of_range_channel(self):
         cfg = ModelConfig(c=28, l=1000, f_s=250.0,
@@ -143,7 +143,7 @@ class TestStageShapes:
             model.temporal_cnn(Tensor(np_rng.normal(size=(2, 4, 64))))
 
     def test_identity_mixing_reduces_fem_to_bn_act_pool(self, tiny_config, np_rng):
-        from patchformer.tensor import avg_pool_time, batch_norm, leaky_relu
+        from patchformer.tensor import BatchNormState, avg_pool_time, batch_norm, leaky_relu
 
         model = build(tiny_config, Rng(6))
         k = tiny_config.k
@@ -152,23 +152,26 @@ class TestStageShapes:
         x = Tensor(np_rng.normal(size=(2, 1, 4, 64)).astype(np.float32))
         z = model.temporal_cnn(x)
         got = model.feature_enhance(z).data
+        w, b = model.parameters, model.buffers
+        bn = BatchNormState(w["fem.bn.gamma"], w["fem.bn.beta"],
+                            b["fem.bn.running_mean"], b["fem.bn.running_var"])
         manual = avg_pool_time(
-            leaky_relu(batch_norm(z, model.fem.bn, "eval"), tiny_config.leaky_slope), 2, 2).data
+            leaky_relu(batch_norm(z, bn, "eval"), tiny_config.leaky_slope), 2, 2).data
         np.testing.assert_allclose(got, manual, rtol=1e-5, atol=1e-6)
 
     def test_zeroed_residual_branches_leave_layer_norm_stack(self, tiny_config, np_rng):
         from patchformer.tensor import layer_norm
 
         model = build(tiny_config, Rng(6))
-        layer = model.layers[0]
-        for block in (layer.wo, layer.ffn_out):
-            block.weight.data[...] = 0.0
-            block.bias.data[...] = 0.0
+        w = model.parameters
+        for block in ("attn.wo", "ffn_out"):
+            w[f"transformer.0.{block}.weight"].data[...] = 0.0
+            w[f"transformer.0.{block}.bias"].data[...] = 0.0
         tok = Tensor(np_rng.normal(size=(2, 12, 8)).astype(np.float32))
         got = model.transformer_encode(tok).data
         manual = layer_norm(
-            layer_norm(tok, layer.norm1.gamma.tensor, layer.norm1.beta.tensor),
-            layer.norm2.gamma.tensor, layer.norm2.beta.tensor).data
+            layer_norm(tok, w["transformer.0.norm1.gamma"], w["transformer.0.norm1.beta"]),
+            w["transformer.0.norm2.gamma"], w["transformer.0.norm2.beta"]).data
         np.testing.assert_allclose(got, manual, rtol=1e-5, atol=1e-6)
 
     def test_randomized_configs_obey_shape_law(self, np_rng):
@@ -335,6 +338,24 @@ class TestAblations:
         model = build(tiny_config, Rng(0))
         assert param_count(tiny_config) == sum(p.data.size for p in model.parameters.values())
 
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_built_names_follow_the_shape_maps(self, tiny_config, ablation):
+        cfg = replace(tiny_config, ablation=ablation)
+        model = build(cfg, Rng(0))
+        assert list(model.parameters) == list(parameter_shapes(cfg))
+        assert list(model.buffers) == list(buffer_shapes(cfg))
+        assert {n: p.shape for n, p in model.parameters.items()} == parameter_shapes(cfg)
+        assert {n: b.shape for n, b in model.buffers.items()} == buffer_shapes(cfg)
+
+    @pytest.mark.parametrize("ablation, stage", [("no_fem", "feature_enhance"),
+                                                 ("no_spm", "spm_local_filter"),
+                                                 ("no_spm", "spm_global")])
+    def test_ablated_stage_refuses_to_run(self, tiny_config, ablation, stage):
+        cfg = replace(tiny_config, ablation=ablation)
+        x = Tensor(np.zeros((1, cfg.k, cfg.c, cfg.t_spatial), dtype=np.float32))
+        with pytest.raises(ConfigurationError, match="built without"):
+            getattr(build(cfg, Rng(0)), stage)(x)
+
     def test_window_granularity_flag(self, np_rng):
         cfg = ModelConfig(c=4, l=64, f_s=16.0, k=4, local_graphs=[[0, 1], [2], [3]],
                           l_t=4, l_step=2, l_token=8, n_head=2, n_layers=1,
@@ -398,11 +419,26 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="n_experts"):
             load_model(path)
 
-    @pytest.mark.parametrize("blob", [b"\xff{}", b"{", b"[]"])
+    # raw bytes replace the header; a function edits it into values of the wrong type
+    @pytest.mark.parametrize("blob", [
+        b"\xff{}", b"{", b"[]",
+        pytest.param(lambda header: {**header, "arrays": 5}, id="arrays-int"),
+        pytest.param(lambda header: {**header, "format_version": "1"}, id="version-str"),
+        pytest.param(lambda header: {**header, "arrays": [{"name": "tcnn.bias", "shape": "ab"}]},
+                     id="entry-shape-str"),
+        pytest.param(lambda header: {**header, "arrays": [{"name": "tcnn.bias", "shape": [-4]}]},
+                     id="entry-shape-negative"),
+        pytest.param(lambda header: {**header, "arrays": [{"name": 3, "shape": [4]}]},
+                     id="entry-name-int"),
+        pytest.param(lambda header: {**header, "config": {**header["config"], "c": "x"}},
+                     id="config-c-str"),
+        pytest.param(lambda header: {**header, "config": {**header["config"], "f_s": None}},
+                     id="config-fs-null"),
+    ])
     def test_undecodable_header(self, tiny_config, tmp_path, rewrite_header, blob):
         path = tmp_path / "model.ckpt"
         save_model(build(tiny_config, Rng(9)), path)
-        rewrite_header(path, lambda header: blob)
+        rewrite_header(path, blob if callable(blob) else lambda header: blob)
         with pytest.raises(DataFormatError, match="header at offset 12"):
             load_model(path)
 
