@@ -19,7 +19,7 @@ from .config import ModelConfig
 from .errors import DataFormatError
 from .model import PatchFormerModel, build
 from .rng import Rng
-from .segio import check_types, decode_header, require_keys
+from .segio import check_entries, check_types, decode_header, require_keys
 
 MAGIC = b"EEGPFCK1"
 FORMAT_VERSION = 1
@@ -65,6 +65,10 @@ def load_model(path, dtype=np.float32) -> PatchFormerModel:
 
     where = "checkpoint config in the header at offset 12"
     check_types(header["config"], typing.get_type_hints(ModelConfig), where)
+    if header["config"].get("local_graphs") is not None:
+        check_entries(header["config"], "local_graphs",
+                      lambda g: isinstance(g, list) and all(type(i) is int for i in g),
+                      "a list of channel indices", where)
     try:
         config = ModelConfig.from_dict(header["config"])
     except TypeError as exc:  # the message names the unknown or missing field

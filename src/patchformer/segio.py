@@ -67,6 +67,21 @@ def check_types(obj: dict, expected: dict, where: str) -> None:
                                   f"expected {name}")
 
 
+def check_entries(obj: dict, key: str, valid, expected: str, where: str,
+                  length: int | None = None) -> None:
+    """Raise DataFormatError unless `valid(entry)` holds for every entry of the
+    list `obj[key]` and, if `length` is given, it holds that many entries;
+    `expected` describes a valid entry."""
+    values = obj[key]
+    if length is not None and len(values) != length:
+        raise DataFormatError(f"{where}: key {key!r} holds {len(values)} entries, "
+                              f"expected {length}")
+    for i, value in enumerate(values):
+        if not valid(value):
+            raise DataFormatError(f"{where}: key {key!r} entry {i} is {value!r}, "
+                                  f"expected {expected}")
+
+
 def decode_header(raw: bytes, end: int, keys: dict) -> dict:
     """The JSON header between offset 12 and `end`, holding every key of `keys`
     with a value of the type it maps to.
@@ -114,9 +129,13 @@ def load_segments(path) -> SegmentSet:
         raise DataFormatError(f"header length {header_len} at offset {_HEADER_LEN_OFFSET} "
                               f"overruns the file ({len(raw)} bytes)")
     header = decode_header(raw, payload_offset, _HEADER_TYPES)
-    check_types(header, _OPTIONAL_TYPES, f"header at offset {_HEADER_OFFSET}")
-
+    where = f"header at offset {_HEADER_OFFSET}"
+    check_types(header, _OPTIONAL_TYPES, where)
     n, c, l = int(header["n"]), int(header["c"]), int(header["l"])
+    check_entries(header, "labels", lambda v: type(v) is int and v in (0, 1), "0 or 1", where, n)
+    for key, length in (("subject_ids", n), ("channel_names", c)):
+        check_entries(header, key, lambda v: isinstance(v, str), "a string", where, length)
+
     expected = payload_offset + 4 * n * c * l + 4
     if len(raw) != expected:
         raise DataFormatError(

@@ -41,6 +41,26 @@ def no_grad():
         _grad_enabled = saved
 
 
+# Trailing axes shorter than this are averaged slice by slice. numpy reduces
+# fewer than 8 elements in the same left-to-right order, so the result is
+# bit-identical; from 8 on it switches to pairwise summation.
+_SHORT_AXIS = 8
+
+# Cap on the im2col column block of a temporal convolution: samples are
+# lowered to columns in chunks whose block stays below this many bytes.
+_COLUMN_BYTES = 32 << 20
+
+
+def _short_axis_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over the short last axis of `a`, one strided slice at a time."""
+    n = a.shape[-1]
+    out = a[..., 0] + a[..., 1] if n > 1 else a[..., 0].copy()
+    for j in range(2, n):
+        out += a[..., j]
+    out /= n
+    return out
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to the shape it was broadcast from."""
     extra = grad.ndim - len(shape)
@@ -255,14 +275,19 @@ class Tensor:
         return Tensor._from_op(data, (self,), bw)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.mean(axis=axis, keepdims=keepdims)
+        if self.ndim and axis in (-1, self.ndim - 1) and 0 < self.shape[-1] < _SHORT_AXIS:
+            data = _short_axis_mean(self.data)
+            if keepdims:
+                data = data[..., None]
+        else:
+            data = self.data.mean(axis=axis, keepdims=keepdims)
         shape = self.shape
         count = self.data.size // data.size if data.size else 1
 
         def bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, shape).copy() / count,)
+            return (np.broadcast_to(g / count, shape).copy(),)
 
         return Tensor._from_op(data, (self,), bw)
 
@@ -331,12 +356,12 @@ def relu(x: Tensor) -> Tensor:
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
-    one = x.data.dtype.type(1.0)
     s = x.data.dtype.type(slope)
-    data = np.where(x.data >= 0, x.data, s * x.data)
+    data = np.maximum(x.data, s * x.data)  # s * x <= x exactly where x >= 0
 
     def bw(g):
-        return (g * np.where(x.data >= 0, one, s),)
+        # the factor is exactly 1 where x >= 0 and s elsewhere, since 0 < s < 1
+        return (g * np.maximum(x.data >= 0, s),)
 
     return Tensor._from_op(data, (x,), bw)
 
@@ -411,13 +436,14 @@ def sliding_windows(x: Tensor, size: int, step: int) -> Tensor:
         raise ShapeError(f"window size {size} exceeds axis length {t}")
     n = (t - size) // step + 1
     starts = np.arange(n) * step
-    data = np.ascontiguousarray(sliding_window_view(x.data, size, axis=-1)[..., ::step, :])
+    # a copy even when the windows tile the axis and the view is contiguous
+    data = sliding_window_view(x.data, size, axis=-1)[..., ::step, :].copy()
 
     def bw(g):
         gx = np.zeros_like(x.data)
         for j in range(size):
-            # for fixed j the target indices are unique, so += is safe
-            gx[..., starts + j] += g[..., j]
+            # offset j of every window: distinct positions, one strided slice
+            gx[..., j:starts[-1] + j + 1:step] += g[..., j]
         return (gx,)
 
     return Tensor._from_op(data, (x,), bw)
@@ -442,12 +468,27 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
+def _batch_chunks(b: int, sample_bytes: int) -> list:
+    """Slices of the batch axis whose column blocks fit in _COLUMN_BYTES."""
+    step = max(1, _COLUMN_BYTES // max(1, sample_bytes))
+    return [slice(i, i + step) for i in range(0, b, step)]
+
+
+def _im2col(win: np.ndarray, rows: slice) -> np.ndarray:
+    """Column block of samples `rows`: windows (B, F_in, C, T, K) -> (n, F_in*K, C*T)."""
+    part = win[rows]
+    n, f_in, c, t, k = part.shape
+    return part.transpose(0, 1, 4, 2, 3).reshape(n, f_in * k, c * t)
+
+
 def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """1-D convolution along time with same padding.
 
     x (B, F_in, C, T), kernels (F_out, F_in, 1, K), bias (F_out,).
     Time is padded with floor((K-1)/2) leading and ceil((K-1)/2) trailing
     zeros, so the output time length equals T; the channel axis is untouched.
+    Each chunk of samples is lowered to an im2col column block and multiplied
+    by the (F_out, F_in*K) kernel matrix, forward and backward.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv_temporal expects rank-4 input, got shape {x.shape}")
@@ -460,22 +501,34 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (f_out,):
         raise ShapeError(f"bias shape {bias.shape} != ({f_out},)")
     pad_l = (k - 1) // 2
-    pad_r = k - 1 - pad_l
-    xpad = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (pad_l, pad_r)))
+    xpad = np.zeros((b_, f_in, c, t + k - 1), dtype=x.data.dtype)
+    xpad[..., pad_l:pad_l + t] = x.data
     win = sliding_window_view(xpad, k, axis=3)  # (B, F_in, C, T, K)
-    w = kernels.data.reshape(f_out, f_in, k)
-    data = np.einsum("bictk,oik->boct", win, w, optimize=True)
+    w = kernels.data.reshape(f_out, f_in * k)
+    chunks = _batch_chunks(b_, f_in * k * c * t * xpad.itemsize)
+    data = np.empty((b_, f_out, c * t), dtype=np.result_type(xpad, w))
+    for rows in chunks:
+        np.matmul(w, _im2col(win, rows), out=data[rows])
+    data = data.reshape(b_, f_out, c, t)
     data += bias.data.reshape(1, f_out, 1, 1)
 
     def bw(g):
         gx = gw = gb = None
+        g3 = g.reshape(b_, f_out, c * t)
         if x.requires_grad:
-            gpad = np.pad(g, ((0, 0), (0, 0), (0, 0), (k - 1, k - 1)))
-            gwin = sliding_window_view(gpad, k, axis=3)  # (B, F_out, C, T+K-1, K)
-            gxpad = np.einsum("boctk,oik->bict", gwin, w[:, :, ::-1], optimize=True)
-            gx = np.ascontiguousarray(gxpad[..., pad_l:pad_l + t])
+            # col2im: each kernel tap j adds its column rows back at time shift j
+            gx = np.empty(x.shape, dtype=np.result_type(g, w))
+            for rows in chunks:
+                gcol = (w.T @ g3[rows]).reshape(-1, f_in, k, c, t)
+                gxpad = np.zeros(gcol.shape[:2] + (c, t + k - 1), dtype=gcol.dtype)
+                for j in range(k):
+                    gxpad[..., j:j + t] += gcol[:, :, j]
+                gx[rows] = gxpad[..., pad_l:pad_l + t]
         if kernels.requires_grad:
-            gw = np.einsum("boct,bictk->oik", g, win, optimize=True).reshape(kernels.shape)
+            gw = np.zeros(w.shape, dtype=np.result_type(g, win))
+            for rows in chunks:
+                gw += (g3[rows] @ _im2col(win, rows).transpose(0, 2, 1)).sum(axis=0)
+            gw = gw.reshape(kernels.shape)
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         return gx, gw, gb
@@ -487,7 +540,8 @@ def conv_spatial(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Convolution with kernel height equal to the channel count.
 
     x (B, F_in, C, T), kernels (F_out, F_in, C, 1), bias (F_out,).
-    Collapses the channel axis to 1; time is unchanged.
+    Collapses the channel axis to 1; time is unchanged. Each sample is one
+    (F_out, F_in*C) @ (F_in*C, T) matmul.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv_spatial expects rank-4 input, got shape {x.shape}")
@@ -501,20 +555,21 @@ def conv_spatial(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"kernel F_in {kf_in} != input F_in {f_in}")
     if bias.shape != (f_out,):
         raise ShapeError(f"bias shape {bias.shape} != ({f_out},)")
-    w = kernels.data.reshape(f_out, f_in, c)
-    data = np.einsum("bict,oic->bot", x.data, w, optimize=True)
+    w = kernels.data.reshape(f_out, f_in * c)
+    data = w @ x.data.reshape(b_, f_in * c, t)
     data += bias.data.reshape(1, f_out, 1)
     data = data[:, :, None, :]
 
     def bw(g):
-        g2 = g[:, :, 0, :]
+        g3 = g.reshape(b_, f_out, t)
         gx = gw = gb = None
         if x.requires_grad:
-            gx = np.einsum("bot,oic->bict", g2, w, optimize=True)
+            gx = (w.T @ g3).reshape(x.shape)
         if kernels.requires_grad:
-            gw = np.einsum("bot,bict->oic", g2, x.data, optimize=True).reshape(kernels.shape)
+            x3 = x.data.reshape(b_, f_in * c, t)
+            gw = (g3 @ x3.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape)
         if bias.requires_grad:
-            gb = g2.sum(axis=(0, 2))
+            gb = g3.sum(axis=(0, 2))
         return gx, gw, gb
 
     return Tensor._from_op(data, (x, kernels, bias), bw)

@@ -2,12 +2,15 @@
 
 Everything here is written as plain loops over numpy scalars, deliberately
 ignoring how the package computes the same quantities, so the two sides can
-disagree when one is wrong.
+disagree when one is wrong. The two `*_einsum` functions are the exception:
+they keep the convolutions' former einsum formulation as a float64 reference
+for the im2col and matmul kernels that replaced it.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv_temporal_naive(x, kernels, bias):
@@ -28,6 +31,36 @@ def conv_temporal_naive(x, kernels, bias):
                                 acc += x[bi, fi, ci, src] * kernels[o, fi, 0, kk]
                     out[bi, o, ci, ti] = acc + bias[o]
     return out
+
+
+def conv_temporal_einsum(x, kernels, bias, g):
+    """(out, gx, gw, gb) of conv_temporal and its backward for cotangent g,
+    as einsum contractions over sliding windows of the padded input and of
+    the padded cotangent (the kernel's formulation before im2col)."""
+    f_out, f_in, _, k = kernels.shape
+    t = x.shape[3]
+    pad_l = (k - 1) // 2
+    xpad = np.pad(x, ((0, 0), (0, 0), (0, 0), (pad_l, k - 1 - pad_l)))
+    win = sliding_window_view(xpad, k, axis=3)
+    w = kernels.reshape(f_out, f_in, k)
+    out = np.einsum("bictk,oik->boct", win, w) + bias.reshape(1, f_out, 1, 1)
+    gpad = np.pad(g, ((0, 0), (0, 0), (0, 0), (k - 1, k - 1)))
+    gwin = sliding_window_view(gpad, k, axis=3)
+    gx = np.einsum("boctk,oik->bict", gwin, w[:, :, ::-1])[..., pad_l:pad_l + t]
+    gw = np.einsum("boct,bictk->oik", g, win).reshape(kernels.shape)
+    return out, gx, gw, g.sum(axis=(0, 2, 3))
+
+
+def conv_spatial_einsum(x, kernels, bias, g):
+    """(out, gx, gw, gb) of conv_spatial and its backward for cotangent g,
+    as einsum contractions (the kernel's formulation before plain matmuls)."""
+    f_out, f_in, c, _ = kernels.shape
+    w = kernels.reshape(f_out, f_in, c)
+    out = (np.einsum("bict,oic->bot", x, w) + bias.reshape(1, f_out, 1))[:, :, None, :]
+    g2 = g[:, :, 0, :]
+    gx = np.einsum("bot,oic->bict", g2, w)
+    gw = np.einsum("bot,bict->oic", g2, x).reshape(kernels.shape)
+    return out, gx, gw, g2.sum(axis=(0, 2))
 
 
 def conv_spatial_naive(x, kernels, bias):

@@ -219,6 +219,19 @@ class TestSegmentFile:
         pytest.param(lambda header: {**header, "c": True}, id="c-bool"),
         pytest.param(lambda header: {**header, "labels": 1}, id="labels-int"),
         pytest.param(lambda header: {**header, "generator_metadata": "ab"}, id="metadata-str"),
+        pytest.param(lambda header: {**header, "labels": ["a"] * header["n"]}, id="labels-entry-str"),
+        pytest.param(lambda header: {**header, "labels": [2] * header["n"]}, id="labels-entry-2"),
+        pytest.param(lambda header: {**header, "labels": [True] * header["n"]},
+                     id="labels-entry-bool"),
+        pytest.param(lambda header: {**header, "labels": header["labels"][1:]}, id="labels-short"),
+        pytest.param(lambda header: {**header, "subject_ids": [7] * header["n"]},
+                     id="subjects-entry-int"),
+        pytest.param(lambda header: {**header, "subject_ids": header["subject_ids"] * 2},
+                     id="subjects-long"),
+        pytest.param(lambda header: {**header, "channel_names": [None] * header["c"]},
+                     id="channels-entry-null"),
+        pytest.param(lambda header: {**header, "channel_names": header["channel_names"][1:]},
+                     id="channels-short"),
     ])
     def test_undecodable_header(self, tmp_path, rewrite_header, blob):
         path = tmp_path / "d.seg"

@@ -434,6 +434,15 @@ class TestCheckpoint:
                      id="config-c-str"),
         pytest.param(lambda header: {**header, "config": {**header["config"], "f_s": None}},
                      id="config-fs-null"),
+        pytest.param(lambda header: {**header, "config": {**header["config"],
+                                                          "local_graphs": [["a"]]}},
+                     id="config-graph-entry-str"),
+        pytest.param(lambda header: {**header, "config": {**header["config"],
+                                                          "local_graphs": [[0, 1], 2]}},
+                     id="config-graph-int"),
+        pytest.param(lambda header: {**header, "config": {**header["config"],
+                                                          "local_graphs": [[0.5]]}},
+                     id="config-graph-entry-float"),
     ])
     def test_undecodable_header(self, tiny_config, tmp_path, rewrite_header, blob):
         path = tmp_path / "model.ckpt"

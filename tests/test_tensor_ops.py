@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patchformer import tensor
 from patchformer.errors import ConfigurationError, ShapeError
 from patchformer.rng import Rng
 from patchformer.tensor import (
@@ -434,3 +435,121 @@ def test_conv_temporal_backward_never_builds_the_dead_input_window():
         tracemalloc.stop()
     assert peak < b * f_out * c * (t + k - 1) * k * 4 // 2
     assert w.grad is not None and x.grad is None
+
+
+# -- the rewritten front-end kernels against their former formulations --------
+
+
+def _conv_grads(fn, x, w, bias, g):
+    """(out, gx, gw, gb) of a float64 convolution and its backward for cotangent g."""
+    xt, wt, bt = (Tensor(a, requires_grad=True, dtype=np.float64) for a in (x, w, bias))
+    out = fn(xt, wt, bt)
+    (out * Tensor(g)).sum().backward()
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+def _assert_close(got, want):
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_conv_temporal_matches_the_einsum_formulation(monkeypatch, k):
+    b, f_in, c, t, f_out = 5, 3, 2, 13, 4
+    # a column block of two samples: the batch of 5 runs as chunks of 2, 2 and 1
+    monkeypatch.setattr(tensor, "_COLUMN_BYTES", 2 * f_in * k * c * t * 8)
+    assert [s.indices(b) for s in tensor._batch_chunks(b, f_in * k * c * t * 8)] == \
+        [(0, 2, 1), (2, 4, 1), (4, 5, 1)]
+    rng = np.random.default_rng(k)
+    x, w = rng.normal(size=(b, f_in, c, t)), rng.normal(size=(f_out, f_in, 1, k))
+    bias, g = rng.normal(size=f_out), rng.normal(size=(b, f_out, c, t))
+    _assert_close(_conv_grads(conv_temporal, x, w, bias, g),
+                  oracles.conv_temporal_einsum(x, w, bias, g))
+
+
+def test_conv_spatial_matches_the_einsum_formulation():
+    rng = np.random.default_rng(5)
+    x, w = rng.normal(size=(3, 4, 5, 11)), rng.normal(size=(6, 4, 5, 1))
+    bias, g = rng.normal(size=6), rng.normal(size=(3, 6, 1, 11))
+    _assert_close(_conv_grads(conv_spatial, x, w, bias, g),
+                  oracles.conv_spatial_einsum(x, w, bias, g))
+
+
+def _signed_values(dtype, shape, seed):
+    """Random values with exact zeros of both signs and both signs elsewhere."""
+    a = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+    a.flat[::7] = 0.0
+    a.flat[3::11] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_is_bit_identical_to_the_where_formulation(dtype):
+    x = _signed_values(dtype, (4, 3, 5, 16), 1)
+    g = _signed_values(dtype, x.shape, 2)
+    s = dtype(0.01)
+    xt = Tensor(x, requires_grad=True)
+    out = leaky_relu(xt, 0.01)
+    (out * Tensor(g)).sum().backward()
+    want = np.where(x >= 0, x, s * x)
+    np.testing.assert_array_equal(out.data, want)
+    assert np.array_equal(np.signbit(out.data), np.signbit(want))
+    np.testing.assert_array_equal(xt.grad, g * np.where(x >= 0, dtype(1.0), s))
+
+
+@pytest.mark.parametrize("size,step,t", [(4, 4, 16), (4, 4, 18), (2, 1, 9), (3, 5, 17),
+                                         (1, 1, 6), (5, 2, 12)])
+def test_sliding_windows_backward_is_bit_identical_to_the_index_scatter(size, step, t):
+    x = Tensor(_signed_values(np.float32, (2, 3, t), 3), requires_grad=True)
+    win = sliding_windows(x, size, step)
+    g = _signed_values(np.float32, win.shape, 4)
+    (win * Tensor(g)).sum().backward()
+    want = np.zeros_like(x.data)
+    starts = np.arange(win.shape[-2]) * step
+    for j in range(size):
+        want[..., starts + j] += g[..., j]
+    np.testing.assert_array_equal(x.grad, want)
+
+
+def test_sliding_windows_returns_its_own_copy():
+    x = np.arange(2 * 16, dtype=np.float32).reshape(2, 16)
+    win = sliding_windows(Tensor(x), 4, 4)  # windows tile the axis: the view is contiguous
+    assert not np.shares_memory(win.data, x) and win.data.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_short_axis_mean_is_bit_identical_to_numpy(dtype, n):
+    a = _signed_values(dtype, (3, 5, 7, n), n) * dtype(1e3)
+    for x in (a, np.swapaxes(np.swapaxes(a, 0, 3).copy(), 0, 3)):  # C order and strided
+        for axis in (-1, 3):
+            np.testing.assert_array_equal(Tensor(x).mean(axis=axis).data, x.mean(axis=-1))
+        np.testing.assert_array_equal(Tensor(x).mean(axis=-1, keepdims=True).data,
+                                      x.mean(axis=-1, keepdims=True))
+    xt = Tensor(a, requires_grad=True)
+    g = _signed_values(dtype, a.shape[:-1], n + 1)
+    (xt.mean(axis=-1) * Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(xt.grad, np.broadcast_to(g[..., None], a.shape).copy() / n)
+
+
+def test_conv_temporal_memory_grows_with_the_batch_by_arrays_not_columns(monkeypatch):
+    f_in, c, t, k, f_out = 2, 4, 256, 33, 2
+    sample_cols = f_in * k * c * t * 4
+    monkeypatch.setattr(tensor, "_COLUMN_BYTES", 2 * sample_cols)
+
+    def peak(b):
+        rng = np.random.default_rng(b)
+        x = Tensor(rng.normal(size=(b, f_in, c, t)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(f_out, f_in, 1, k)).astype(np.float32), requires_grad=True)
+        bias = Tensor(np.zeros(f_out, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            conv_temporal(x, w, bias).sum().backward()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_sample = (peak(20) - peak(4)) / 16
+    # output, cotangent, padded input and input gradient, a few times over
+    arrays = 6 * max(f_in, f_out) * c * (t + k - 1) * 4
+    assert per_sample < arrays < sample_cols / 2
