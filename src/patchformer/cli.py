@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .config import ABLATIONS, TOKEN_GRANULARITIES, ModelConfig
 from .data import downsample, loso_split, segment
-from .errors import ConfigurationError, PatchFormerError
+from .container import canonical_json, check_entries, require_keys
+from .errors import ConfigurationError, DataFormatError, PatchFormerError
 from .model import build, param_count
 from .rng import Rng
 from .segio import load_recording_csv, load_segments, save_segments
@@ -47,12 +48,9 @@ class RunManifest:
         path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True))
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _emit(obj):
-    print(_canonical(obj), flush=True)
+def _emit(obj, file=None):
+    """One canonical JSON line on stdout, or on `file`."""
+    print(canonical_json(obj).decode(), file=file, flush=True)
 
 
 def _default_seed() -> int:
@@ -161,7 +159,7 @@ def cmd_synth(args) -> int:
         "seed": args.seed,
     }
     if args.print_config:
-        print(_canonical(config))
+        _emit(config)
         return 0
     out = Path(args.out)
     manifest = _manifest(args, "synth", config, {"segments": out})
@@ -185,7 +183,7 @@ def cmd_preprocess(args) -> int:
         "seed": args.seed,
     }
     if args.print_config:
-        print(_canonical(config))
+        _emit(config)
         return 0
     out = Path(args.out)
     _manifest(args, "preprocess", config, {"segments": out}).write(
@@ -220,7 +218,7 @@ def cmd_train(args) -> int:
     ds, mc, tc = _resolve_run(args)
     config = {"model": mc.to_dict(), "train": tc.to_dict(), "seed": args.seed}
     if args.print_config:
-        print(_canonical(config))
+        _emit(config)
         return 0
     out = Path(args.out)
     artifacts = {"checkpoint": out / "checkpoint.ckpt", "history": out / "history.json"}
@@ -255,7 +253,7 @@ def cmd_eval(args) -> int:
     if args.subject is not None:
         ds = ds.subset(np.flatnonzero(ds.subject_ids == args.subject))
     if args.print_config:
-        print(_canonical({"model": model.config.to_dict(), "n_segments": ds.n}))
+        _emit({"model": model.config.to_dict(), "n_segments": ds.n})
         return 0
     result = {"event": "eval", "n": ds.n, "params": param_count(model.config)}
     ev = None
@@ -280,7 +278,7 @@ def cmd_loso(args) -> int:
     ds, mc, tc = _resolve_run(args)
     config = {"model": mc.to_dict(), "train": tc.to_dict(), "seed": args.seed}
     if args.print_config:
-        print(_canonical(config))
+        _emit(config)
         return 0
     out = Path(args.out)
     _manifest(args, "loso", config,
@@ -299,7 +297,7 @@ def cmd_ablate(args) -> int:
     config = {"model": mc.to_dict(), "train": tc.to_dict(), "seed": args.seed,
               "variant": args.variant}
     if args.print_config:
-        print(_canonical(config))
+        _emit(config)
         return 0
     out = Path(args.out)
     _manifest(args, "ablate", config, {"report_json": out / "report.json"}).write(
@@ -317,7 +315,7 @@ def cmd_sweep(args) -> int:
     config = {"model": mc.to_dict(), "train": tc.to_dict(), "seed": args.seed,
               "lengths": lengths}
     if args.print_config:
-        print(_canonical(config))
+        _emit(config)
         return 0
     out = Path(args.out)
     _manifest(args, "sweep", config, {"table": out / "sweep.csv"}).write(out / "manifest.json")
@@ -347,7 +345,12 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_rerun(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text())
+    where = f"manifest {args.manifest}"
+    require_keys(manifest, {"argv": list}, where)
+    check_entries(manifest, "argv", lambda v: isinstance(v, str), "a string", where)
     argv = list(manifest["argv"])
+    if argv[:1] == ["rerun"]:
+        raise DataFormatError(f"{where}: argv replays another manifest, expected a run")
     if args.out is not None:
         if "--out" in argv:
             argv[argv.index("--out") + 1] = args.out
@@ -456,13 +459,8 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except PatchFormerError as exc:
-        print(_canonical({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(_canonical({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
+    except (PatchFormerError, ValueError, OSError) as exc:
+        _emit({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         return 1
 
 

@@ -151,8 +151,8 @@ class ModelConfig:
             bad(f"channel count c must be >= 1, got {self.c}")
         if self.l < 8 or self.l % 8 != 0:
             bad(f"segment length l must be a positive multiple of 8, got {self.l}")
-        if self.f_s <= 0:
-            bad(f"sampling rate f_s must be positive, got {self.f_s}")
+        if not 0 < self.f_s < float("inf"):
+            bad(f"sampling rate f_s must be finite and positive, got {self.f_s}")
         if self.k < 1:
             bad(f"kernel count k must be >= 1, got {self.k}")
         if self.kernel_len < 1:

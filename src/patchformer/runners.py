@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ABLATIONS, ModelConfig
+from .container import canonical_json
 from .data import SegmentSet, loso_split
 from .errors import FoldError, PatchFormerError
 from .model import build
@@ -85,8 +86,7 @@ class ExperimentReport:
 
     def canonical_bytes(self) -> bytes:
         """Deterministic serialization (timing excluded), for reproducibility checks."""
-        return json.dumps(self.to_dict(include_timing=False), sort_keys=True,
-                          separators=(",", ":")).encode()
+        return canonical_json(self.to_dict(include_timing=False))
 
     def save_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
@@ -107,8 +107,7 @@ class ExperimentReport:
 
 
 def config_fingerprint(mc: ModelConfig, tc: TrainConfig) -> str:
-    blob = json.dumps({"model": mc.to_dict(), "train": tc.to_dict()},
-                      sort_keys=True, separators=(",", ":")).encode()
+    blob = canonical_json({"model": mc.to_dict(), "train": tc.to_dict()})
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -7,7 +7,10 @@ they keep the convolutions' former einsum formulation as a float64 reference
 for the im2col and matmul kernels that replaced it.
 """
 
+import json
 import math
+import struct
+import zlib
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -159,3 +162,15 @@ def window_count(n, length, step):
         count += 1
         start += step
     return count
+
+
+def container_layout(magic, header, arrays):
+    """The README's container layout written out field by field: magic, u32
+    header length, sorted-key compact JSON, each array's values as
+    little-endian float32, then the CRC-32 of every byte before it."""
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = magic + struct.pack("<I", len(blob)) + blob
+    for a in arrays:
+        values = [float(v) for v in np.asarray(a).ravel()]
+        body += struct.pack(f"<{len(values)}f", *values)
+    return body + struct.pack("<I", zlib.crc32(body))

@@ -60,6 +60,17 @@ class TestSynth:
                      "--out", str(other)]) == 0
         assert out.read_bytes() == other.read_bytes()
 
+    @pytest.mark.parametrize("manifest", [{"command": "synth"}, [], {"argv": ["synth", 3]},
+                                          "self-rerun"],
+                             ids=["no-argv", "array", "argv-entry-int", "self-rerun"])
+    def test_rerun_rejects_malformed_manifest(self, tmp_path, capsys, manifest):
+        path = tmp_path / "m.json"
+        if manifest == "self-rerun":
+            manifest = {"argv": ["rerun", str(path)]}
+        path.write_text(json.dumps(manifest))
+        assert main(["rerun", str(path)]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "DataFormatError"
+
 
 class TestPreprocess:
     def test_csv_pipeline(self, tmp_path):

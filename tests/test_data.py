@@ -1,5 +1,7 @@
 """Preprocessing, LOSO splitting, synthesis and the segment file format."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,6 +234,12 @@ class TestSegmentFile:
                      id="channels-entry-null"),
         pytest.param(lambda header: {**header, "channel_names": header["channel_names"][1:]},
                      id="channels-short"),
+        pytest.param(lambda header: {**header, "f_s": float("nan")}, id="fs-nan"),
+        pytest.param(lambda header: {**header, "f_s": -1.0}, id="fs-negative"),
+        pytest.param(lambda header: {**header, "n": 0, "labels": [], "subject_ids": [], "l": -8},
+                     id="l-negative"),
+        pytest.param(lambda header: json.dumps({**header, "f_s": "F"}).replace('"F"', "1e999")
+                     .encode(), id="fs-overflow"),
     ])
     def test_undecodable_header(self, tmp_path, rewrite_header, blob):
         path = tmp_path / "d.seg"

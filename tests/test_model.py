@@ -1,5 +1,6 @@
 """Architecture: configuration, shapes, patching semantics, checkpoints."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,13 @@ class TestConfigValidation:
         cfg = ModelConfig(c=4, l=64, f_s=16.0, local_graphs=[[0], [1], [2], [3]],
                           l_t=9, l_step=2, l_token=8, n_head=2)  # t_spatial = 8
         with pytest.raises(ConfigurationError, match="l_t"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("f_s", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kernel_len", [None, 8])
+    def test_non_finite_sampling_rate(self, tiny_config, f_s, kernel_len):
+        cfg = replace(tiny_config, f_s=f_s, temporal_kernel_len=kernel_len)
+        with pytest.raises(ConfigurationError, match="f_s"):
             cfg.validate()
 
     def test_dict_round_trip(self, tiny_config):
@@ -430,10 +438,19 @@ class TestCheckpoint:
                      id="entry-shape-negative"),
         pytest.param(lambda header: {**header, "arrays": [{"name": 3, "shape": [4]}]},
                      id="entry-name-int"),
+        pytest.param(lambda header: {**header, "arrays": [
+            {"name": "tcnn.kernels", "shape": [math.prod(header["arrays"][0]["shape"])]},
+            *header["arrays"][1:]]}, id="entry-shape-reshaped"),
+        pytest.param(lambda header: {**header, "arrays": [
+            {**header["arrays"][0], "name": "tcnn.weights"}, *header["arrays"][1:]]},
+                     id="entry-name-unknown"),
         pytest.param(lambda header: {**header, "config": {**header["config"], "c": "x"}},
                      id="config-c-str"),
         pytest.param(lambda header: {**header, "config": {**header["config"], "f_s": None}},
                      id="config-fs-null"),
+        pytest.param(lambda header: {**header, "config": {**header["config"],
+                                                          "f_s": float("nan")}},
+                     id="config-fs-nan"),
         pytest.param(lambda header: {**header, "config": {**header["config"],
                                                           "local_graphs": [["a"]]}},
                      id="config-graph-entry-str"),
