@@ -18,8 +18,8 @@ from . import container
 from .config import ModelConfig
 from .container import HEADER_WHERE, canonical_json, check_entries, check_types, require_keys
 from .errors import DataFormatError
-from .model import PatchFormerModel, buffer_shapes, build, parameter_shapes
-from .rng import Rng
+from .model import PatchFormerModel, buffer_shapes, parameter_shapes
+from .tensor import split
 
 MAGIC = b"EEGPFCK1"
 FORMAT_VERSION = 1
@@ -33,7 +33,7 @@ def save_model(model: PatchFormerModel, path) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()],
         "n_params": len(model.parameters),
     }
-    container.write(path, MAGIC, header, arrays.values())
+    container.write(path, MAGIC, header, [model.arena, *model.buffers.values()])
 
 
 def _check_directory(directory: list, layout: dict) -> None:
@@ -63,12 +63,11 @@ def load_model(path, dtype=np.float32) -> PatchFormerModel:
         config = ModelConfig.from_dict(header["config"])
     except TypeError as exc:  # the message names the unknown or missing field
         raise DataFormatError(f"{where}: {exc}") from exc
-    model = build(config, Rng(0), dtype=dtype)
+    model = PatchFormerModel(config, dtype=dtype)
 
     layout = {**parameter_shapes(config), **buffer_shapes(config)}
     _check_directory(header["arrays"], layout)
-    counts = [math.prod(shape) for shape in layout.values()]
-    pieces = np.split(container.floats(raw, start, end, sum(counts)), np.cumsum(counts)[:-1])
-    model.load_state({name: piece.reshape(shape)
-                      for (name, shape), piece in zip(layout.items(), pieces)})
+    count = sum(math.prod(shape) for shape in layout.values())
+    pieces = split(container.floats(raw, start, end, count), layout.values())
+    model.load_state(dict(zip(layout, pieces)))
     return model

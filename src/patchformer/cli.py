@@ -9,6 +9,8 @@ Flags mirror the architecture symbols (--k, --lt, --lstep, --ltoken, --nhead,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -344,13 +346,25 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_rerun(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
     where = f"manifest {args.manifest}"
+    try:
+        manifest = json.loads(Path(args.manifest).read_text())
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{where} is not JSON: {exc}") from None
     require_keys(manifest, {"argv": list}, where)
     check_entries(manifest, "argv", lambda v: isinstance(v, str), "a string", where)
     argv = list(manifest["argv"])
     if argv[:1] == ["rerun"]:
         raise DataFormatError(f"{where}: argv replays another manifest, expected a run")
+    # parse once as recorded, with argparse's usage text captured, so an argv
+    # it rejects ends in a typed error; a parsed argv gives --out a value
+    usage = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(usage), contextlib.redirect_stdout(io.StringIO()):
+            build_parser().parse_args(argv)
+    except SystemExit:
+        reason = (usage.getvalue().strip().splitlines() or ["it asks for help or the version"])[-1]
+        raise DataFormatError(f"{where}: argv {argv} is not a run: {reason}") from None
     if args.out is not None:
         if "--out" in argv:
             argv[argv.index("--out") + 1] = args.out

@@ -14,6 +14,8 @@ ablation flags rewire exactly one stage each.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import ModelConfig
@@ -34,6 +36,7 @@ from .tensor import (
     multi_head_attention,
     relu,
     sliding_windows,
+    split,
 )
 
 
@@ -127,14 +130,25 @@ class PatchFormerModel:
 
     `parameters` maps each name of parameter_shapes() to a leaf tensor that
     requires grad; `buffers` maps each name of buffer_shapes() to an array.
-    Each stage reads its weights from them by name.
+    Each stage reads its weights from them by name. Every parameter's data
+    is a view into one flat array, `arena`, laid out in parameter_shapes()
+    order; it holds the parameters only. A new model's parameters are zero
+    and its running statistics have mean 0 and variance 1; build()
+    initializes the parameters, a checkpoint load overwrites both.
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32):
+        config.validate()
         self.config = config
         self.dtype = np.dtype(dtype)
-        self.parameters: dict[str, Tensor] = {}
-        self.buffers: dict[str, np.ndarray] = {}
+        shapes = parameter_shapes(config)
+        self.arena = np.zeros(sum(math.prod(s) for s in shapes.values()), self.dtype)
+        self.parameters: dict[str, Tensor] = {
+            name: Tensor(view, requires_grad=True)
+            for name, view in zip(shapes, split(self.arena, shapes.values()))}
+        self.buffers: dict[str, np.ndarray] = {
+            name: (np.ones if name.endswith("running_var") else np.zeros)(shape, self.dtype)
+            for name, shape in buffer_shapes(config).items()}
 
     # -- parameter bookkeeping ---------------------------------------------
 
@@ -143,8 +157,10 @@ class PatchFormerModel:
             p.grad = None
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Copies of every parameter and buffer, keyed by name."""
-        state = {name: p.data.copy() for name, p in self.parameters.items()}
+        """Copies of every parameter and buffer, keyed by name; the parameters
+        are views of one copy of the arena."""
+        views = split(self.arena.copy(), [p.shape for p in self.parameters.values()])
+        state = dict(zip(self.parameters, views))
         state.update({name: b.copy() for name, b in self.buffers.items()})
         return state
 
@@ -152,10 +168,13 @@ class PatchFormerModel:
         targets = {name: p.data for name, p in self.parameters.items()}
         targets.update(self.buffers)
         for name, dst in targets.items():
-            src = np.asarray(state[name], dtype=self.dtype)
-            if src.shape != dst.shape:
-                raise ShapeError(f"state for {name!r} has shape {src.shape}, expected {dst.shape}")
-            dst[...] = src
+            if np.shape(state[name]) != dst.shape:
+                raise ShapeError(f"state for {name!r} has shape {np.shape(state[name])}, "
+                                 f"expected {dst.shape}")
+        np.concatenate([np.ravel(state[name]) for name in self.parameters],
+                       out=self.arena, casting="unsafe")
+        for name, dst in self.buffers.items():
+            dst[...] = state[name]
 
     def _bn(self, prefix: str) -> BatchNormState:
         """The batch-norm layer named `prefix`; its running statistics update in place."""
@@ -310,13 +329,8 @@ def aggregate(z: Tensor, regions: list) -> Tensor:
 
 def build(config: ModelConfig, rng: Rng, dtype=np.float32) -> PatchFormerModel:
     """Allocate and initialize every parameter and buffer; deterministic given the seed."""
-    config.validate()
     model = PatchFormerModel(config, dtype=dtype)
     init_rng = rng.spawn("init")
-    for name, shape in parameter_shapes(config).items():
-        value = _init_value(name, shape, init_rng).astype(model.dtype)
-        model.parameters[name] = Tensor(value, requires_grad=True)
-    for name, shape in buffer_shapes(config).items():
-        fill = np.ones if name.endswith("running_var") else np.zeros
-        model.buffers[name] = fill(shape, dtype=model.dtype)
+    for name, p in model.parameters.items():
+        p.data[...] = _init_value(name, p.shape, init_rng)
     return model

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TrainingDivergedError
-from .tensor import Tensor
+from .tensor import Tensor, pack
 
 
 def cosine_lr(t: int, period: int, lr0: float, eta_min: float = 0.0) -> float:
@@ -20,19 +20,16 @@ def cosine_lr(t: int, period: int, lr0: float, eta_min: float = 0.0) -> float:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments and the shared step counter."""
+    """First/second moments laid out like the parameters' flat array, and the step counter."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
-        state = cls()
-        for name, p in params.items():
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        return state
+        flat = pack(params)
+        return cls(np.zeros_like(flat), np.zeros_like(flat))
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
@@ -42,27 +39,38 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
 
     Weight decay is coupled by default (added to the gradient, classic Adam
     usage); set decoupled_decay to subtract lr*wd*w directly instead. A grad
-    of None counts as zero.
+    of None counts as zero. The update runs on the parameters' flat array
+    (see `pack`); being elementwise, it equals one update per parameter bit
+    for bit.
     """
+    w = pack(params)
+    g = np.concatenate([np.zeros(p.data.size, w.dtype) if p.grad is None else np.ravel(p.grad)
+                        for p in params.values()], dtype=w.dtype, casting="same_kind")
+    if not np.isfinite(g).all():
+        first = int(np.argmin(np.isfinite(g)))
+        for name, p in params.items():
+            if first < p.data.size:
+                raise TrainingDivergedError(f"non-finite gradient for parameter {name!r}")
+            first -= p.data.size
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        elif not np.isfinite(g).all():
-            raise TrainingDivergedError(f"non-finite gradient for parameter {name!r}")
-        g = np.asarray(g, dtype=p.data.dtype)
-        if weight_decay and not decoupled_decay:
-            g = g + p.data.dtype.type(weight_decay) * p.data
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        if weight_decay and decoupled_decay:
-            update = update + weight_decay * p.data
-        p.data[...] -= p.data.dtype.type(lr) * update
+    if weight_decay and not decoupled_decay:
+        g += w.dtype.type(weight_decay) * w
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    g *= g
+    g *= 1.0 - beta2
+    v += g
+    # g's buffer is free from here on; it holds the denominator, then the decay
+    denom = np.divide(v, bc2, out=g)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    update = m / bc1
+    update /= denom
+    if weight_decay and decoupled_decay:
+        update += np.multiply(w, weight_decay, out=denom)
+    update *= w.dtype.type(lr)
+    w -= update

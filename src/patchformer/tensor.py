@@ -340,6 +340,41 @@ class Tensor:
 
 
 # ---------------------------------------------------------------------------
+# flat storage
+# ---------------------------------------------------------------------------
+
+
+def split(flat: np.ndarray, shapes) -> list:
+    """Consecutive views of the 1-D array `flat`, one per shape, in order."""
+    views, offset = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(flat[offset:offset + n].reshape(shape))
+        offset += n
+    return views
+
+
+def pack(tensors: dict) -> np.ndarray:
+    """The flat array whose consecutive views are the tensors' data, in dict order.
+
+    Tensors packed before (every .data a view of one 1-D array holding exactly
+    their elements) give that array back untouched. Otherwise their values are
+    copied into a new array and each .data becomes its view, so an update of
+    the flat array is an update of every tensor.
+    """
+    datas = [t.data for t in tensors.values()]
+    base = datas[0].base
+    if (isinstance(base, np.ndarray) and base.ndim == 1
+            and base.size == sum(d.size for d in datas)
+            and all(d.base is base for d in datas)):
+        return base
+    flat = np.concatenate([d.ravel() for d in datas])
+    for t, view in zip(tensors.values(), split(flat, [d.shape for d in datas])):
+        t.data = view
+    return flat
+
+
+# ---------------------------------------------------------------------------
 # activations and simple elementwise ops
 # ---------------------------------------------------------------------------
 
@@ -366,11 +401,17 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     return Tensor._from_op(data, (x,), bw)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along one axis (max subtraction before exponentiation)."""
-    y = x.data - x.data.max(axis=axis, keepdims=True)
+def _softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Stable softmax of `a` along one axis, into `out` (which may be `a`)."""
+    y = np.subtract(a, a.max(axis=axis, keepdims=True), out=out)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
+    return y
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Stable softmax along one axis (max subtraction before exponentiation)."""
+    y = _softmax(x.data, axis)
 
     def bw(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -602,59 +643,65 @@ def batch_norm(x: Tensor, bn: BatchNormState, mode: str = "train") -> Tensor:
 
     Train mode normalizes with batch statistics and updates the running
     estimates in place; eval mode normalizes with the running estimates.
+    Statistics and gradients reduce over a (B, F, C*T) view of x.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects rank-4 input, got shape {x.shape}")
-    f = x.shape[1]
+    b, f, c, t = x.shape
     if bn.gamma.shape != (f,):
         raise ShapeError(f"gamma shape {bn.gamma.shape} != ({f},)")
-    axes = (0, 2, 3)
-    expand = (1, f, 1, 1)
-    gamma_b = bn.gamma.data.reshape(expand)
-    beta_b = bn.beta.data.reshape(expand)
+    x3 = x.data.reshape(b, f, c * t)
+    gamma = bn.gamma.data
+    n = b * c * t
 
     if mode == "train":
-        n = x.data.size // f
         if n < 2:
             raise ShapeError("train-mode batch norm needs at least 2 values per feature map")
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)  # biased, used for normalization
+        # the same sums and divisions as numpy's mean and var, so bit-identical
+        mean = x3.sum(axis=(0, 2)) / n
+        xhat = x3 - mean[:, None]
+        out = np.multiply(xhat, xhat)
+        var = out.sum(axis=(0, 2)) / n  # biased, used for normalization
         m = bn.momentum
         bn.running_mean *= 1.0 - m
         bn.running_mean += m * mean
         bn.running_var *= 1.0 - m
         bn.running_var += m * var * (n / (n - 1))  # unbiased running estimate
         inv = 1.0 / np.sqrt(var + bn.eps)
-        inv_b = inv.reshape(expand)
-        xhat = (x.data - mean.reshape(expand)) * inv_b
-        data = gamma_b * xhat + beta_b
+        xhat *= inv[:, None]
+        np.multiply(gamma[:, None], xhat, out=out)
+        out += bn.beta.data[:, None]
 
         def bw(g):
-            dgamma = (g * xhat).sum(axis=axes)
-            dbeta = g.sum(axis=axes)
-            dxhat = g * gamma_b
-            dx = (
-                dxhat
-                - dxhat.mean(axis=axes, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True)
-            ) * inv_b
-            return dx, dgamma, dbeta
+            # with dxhat = g * gamma, the two means of the composite formula
+            # are gamma * dbeta / n and gamma * dgamma / n
+            g3 = g.reshape(b, f, c * t)
+            dbeta = g3.sum(axis=(0, 2))
+            dx = g3 * xhat
+            dgamma = dx.sum(axis=(0, 2))
+            np.multiply(xhat, (dgamma / n)[:, None], out=dx)
+            np.subtract(g3, dx, out=dx)
+            dx -= (dbeta / n)[:, None]
+            dx *= (gamma * inv)[:, None]
+            return dx.reshape(x.shape), dgamma, dbeta
 
-        return Tensor._from_op(data, (x, bn.gamma, bn.beta), bw)
+        return Tensor._from_op(out.reshape(x.shape), (x, bn.gamma, bn.beta), bw)
 
+    running_mean = bn.running_mean.copy()  # a later train-mode call updates it in place
     inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
-    xhat = (x.data - bn.running_mean.reshape(expand)) * inv.reshape(expand)
-    data = gamma_b * xhat + beta_b
+    scale = gamma * inv
+    out = x3 * scale[:, None]
+    out += (bn.beta.data - running_mean * scale)[:, None]
 
     def bw(g):
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        dx = g * gamma_b * inv.reshape(expand)
-        return dx, dgamma, dbeta
+        # xhat is recomputed here rather than held by the graph
+        g3 = g.reshape(b, f, c * t)
+        dgamma = (g3 * ((x3 - running_mean[:, None]) * inv[:, None])).sum(axis=(0, 2))
+        return (g3 * scale[:, None]).reshape(x.shape), dgamma, g3.sum(axis=(0, 2))
 
-    return Tensor._from_op(data, (x, bn.gamma, bn.beta), bw)
+    return Tensor._from_op(out.reshape(x.shape), (x, bn.gamma, bn.beta), bw)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -727,7 +774,10 @@ def multi_head_attention(
     v = split_heads(linear(x, wv, bv))
 
     scores = q @ k.transpose(0, 1, 3, 2)
-    weights = softmax(scores, axis=-1)
+    if scores.requires_grad:
+        weights = softmax(scores, axis=-1)
+    else:  # no graph holds the scores, so they are normalized where they lie
+        weights = Tensor(_softmax(scores.data, -1, out=scores.data))
     attn = dropout(weights, dropout_p, rng, mode) if dropout_p > 0 else weights
     ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, s, d)
     out = linear(ctx, wo, bo)

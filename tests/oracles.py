@@ -174,3 +174,57 @@ def container_layout(magic, header, arrays):
         values = [float(v) for v in np.asarray(a).ravel()]
         body += struct.pack(f"<{len(values)}f", *values)
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def adam_loop(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8,
+              weight_decay=0.0, decoupled_decay=False):
+    """Adam as one update per parameter, on dicts of arrays, in place: the
+    formulation before the flat update. `t` is the step count after this step;
+    a grad of None counts as zero."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, w in params.items():
+        g = grads[name]
+        g = np.zeros_like(w) if g is None else np.asarray(g, dtype=w.dtype)
+        if weight_decay and not decoupled_decay:
+            g = g + w.dtype.type(weight_decay) * w
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        if weight_decay and decoupled_decay:
+            update = update + weight_decay * w
+        w[...] -= w.dtype.type(lr) * update
+
+
+def batch_norm_composite(x, gamma, beta, running_mean, running_var, mode, g,
+                         eps=1e-5, momentum=0.1):
+    """(out, dx, dgamma, dbeta) of batch norm over axes (0, 2, 3) for cotangent
+    g, as the composite formulas written before the fused kernel; train mode
+    updates the running statistics in place."""
+    axes = (0, 2, 3)
+    expand = (1, x.shape[1], 1, 1)
+    gamma_b = gamma.reshape(expand)
+    if mode == "train":
+        n = x.size // x.shape[1]
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var * (n / (n - 1))
+    else:
+        mean, var = running_mean, running_var
+    inv_b = (1.0 / np.sqrt(var + eps)).reshape(expand)
+    xhat = (x - mean.reshape(expand)) * inv_b
+    out = gamma_b * xhat + beta.reshape(expand)
+    dgamma = (g * xhat).sum(axis=axes)
+    dbeta = g.sum(axis=axes)
+    dxhat = g * gamma_b
+    if mode == "train":
+        dx = (dxhat - dxhat.mean(axis=axes, keepdims=True)
+              - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True)) * inv_b
+    else:
+        dx = dxhat * inv_b
+    return out, dx, dgamma, dbeta

@@ -177,4 +177,5 @@ def test_trial_inputs_do_not_depend_on_the_hash_salt():
 def test_suite_runner_reports_all_ops():
     results = op_grad_checks(trials=3)
     assert set(results) == set(OP_CHECKS)
+    assert {"batch_norm_train", "batch_norm_eval"} <= set(results)
     assert all(v < THRESHOLD for v in results.values())

@@ -60,15 +60,18 @@ class TestSynth:
                      "--out", str(other)]) == 0
         assert out.read_bytes() == other.read_bytes()
 
-    @pytest.mark.parametrize("manifest", [{"command": "synth"}, [], {"argv": ["synth", 3]},
-                                          "self-rerun"],
-                             ids=["no-argv", "array", "argv-entry-int", "self-rerun"])
-    def test_rerun_rejects_malformed_manifest(self, tmp_path, capsys, manifest):
+    @pytest.mark.parametrize("manifest, extra", [
+        ({"command": "synth"}, []), ([], []), ({"argv": ["synth", 3]}, []), ("self-rerun", []),
+        ({"argv": []}, []), ({"argv": ["synth", "--out", "a.seg", "--bogus"]}, []),
+        ({"argv": ["train", "--out"]}, ["--out", "elsewhere"]), ("not-json", []),
+    ], ids=["no-argv", "array", "argv-entry-int", "self-rerun", "argv-empty", "unknown-flag",
+            "trailing-out", "not-json"])
+    def test_rerun_rejects_malformed_manifest(self, tmp_path, capsys, manifest, extra):
         path = tmp_path / "m.json"
         if manifest == "self-rerun":
             manifest = {"argv": ["rerun", str(path)]}
-        path.write_text(json.dumps(manifest))
-        assert main(["rerun", str(path)]) == 1
+        path.write_text("{argv: [" if manifest == "not-json" else json.dumps(manifest))
+        assert main(["rerun", str(path), *extra]) == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "DataFormatError"
 
 

@@ -192,6 +192,45 @@ class TestAdam:
         with pytest.raises(TrainingDivergedError, match="'w'"):
             adam_step(params, AdamState.for_params(params), lr=0.1)
 
+    def test_nan_grad_names_its_parameter_among_several(self):
+        from patchformer.errors import TrainingDivergedError
+
+        params = {name: Tensor(np.ones(shape), requires_grad=True)
+                  for name, shape in (("a", (2, 3)), ("b", ()), ("c", (4,)))}
+        state = AdamState.for_params(params)
+        params["a"].grad = np.ones((2, 3))
+        params["c"].grad = np.array([0.0, 1.0, np.inf, 2.0])
+        with pytest.raises(TrainingDivergedError, match="'c'"):
+            adam_step(params, state, lr=0.1)
+        np.testing.assert_array_equal(params["a"].data, 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_flat_update_matches_per_parameter_loop(self, dtype, decoupled):
+        rng = np.random.default_rng(7)
+        shapes = {"kernel": (3, 1, 2), "scalar": (), "unused": (5,), "bias": (4,)}
+        params = {name: Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                  for name, shape in shapes.items()}
+        ref = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros_like(w) for name, w in ref.items()}
+        v = {name: np.zeros_like(w) for name, w in ref.items()}
+        state = AdamState.for_params(params)
+        for step in range(1, 51):
+            grads = {name: None if name == "unused" else rng.normal(size=shape).astype(dtype)
+                     for name, shape in shapes.items()}
+            for name, p in params.items():
+                p.grad = grads[name]
+            lr = 1e-2 / step
+            adam_step(params, state, lr, weight_decay=1e-2, decoupled_decay=decoupled)
+            oracles.adam_loop(ref, grads, m, v, step, lr, weight_decay=1e-2,
+                              decoupled_decay=decoupled)
+            for name, p in params.items():
+                assert p.data.dtype == dtype
+                np.testing.assert_array_equal(p.data, ref[name], err_msg=f"{name} step {step}")
+        assert state.t == 50
+        np.testing.assert_array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
+        np.testing.assert_array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
+
     def test_none_grad_counts_as_zero(self):
         params = self._param(3.0)
         state = AdamState.for_params(params)

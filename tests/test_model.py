@@ -18,7 +18,7 @@ from patchformer.config import (
 from patchformer.errors import ConfigurationError, DataFormatError, ShapeError
 from patchformer.model import aggregate, buffer_shapes, build, param_count, parameter_shapes
 from patchformer.rng import Rng
-from patchformer.tensor import Tensor, softmax
+from patchformer.tensor import Tensor, pack, softmax
 
 import oracles
 
@@ -113,6 +113,39 @@ class TestBuild:
         bound = 1.0 / np.sqrt(tiny_config.kernel_len)
         kern = model.parameters["tcnn.kernels"].data
         assert np.abs(kern).max() <= bound and kern.std() > 0
+
+
+class TestParameterArena:
+    def test_parameters_are_consecutive_views_of_one_array(self, tiny_config):
+        model = build(tiny_config, Rng(0))
+        arena = model.arena
+        assert arena.ndim == 1 and arena.size == param_count(tiny_config)
+        offset = 0
+        for name, p in model.parameters.items():
+            assert p.data.base is arena, name
+            start = (p.data.ctypes.data - arena.ctypes.data) // arena.itemsize
+            assert start == offset and p.data.flags.c_contiguous, name
+            offset += p.data.size
+        assert pack(model.parameters) is arena
+
+    def test_pack_copies_plain_tensors_once(self):
+        params = {"a": Tensor(np.arange(6.0).reshape(2, 3)), "b": Tensor(np.array(7.0))}
+        flat = pack(params)
+        np.testing.assert_array_equal(flat, [0, 1, 2, 3, 4, 5, 7])
+        assert pack(params) is flat
+        flat[-1] = 8.0
+        assert float(params["b"].data) == 8.0
+
+    def test_state_dict_is_a_copy_and_loads_back(self, tiny_config):
+        model = build(tiny_config, Rng(0))
+        state = model.state_dict()
+        model.arena[:] = 0.0
+        model.buffers["tcnn.bn.running_mean"][:] = 5.0
+        model.load_state(state)
+        fresh = build(tiny_config, Rng(0))
+        np.testing.assert_array_equal(model.arena, fresh.arena)
+        for name, b in fresh.buffers.items():
+            np.testing.assert_array_equal(model.buffers[name], b)
 
 
 class TestStageShapes:

@@ -195,6 +195,42 @@ class TestBatchNorm:
         np.testing.assert_array_equal(bn.running_mean, before[0])
         np.testing.assert_array_equal(bn.running_var, before[1])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 3, 2, 5), (16, 8, 6, 40), (3, 2, 1, 9)])
+    def test_train_matches_composite_formulas(self, np_rng, dtype, shape):
+        f = shape[1]
+        x = np_rng.normal(1.5, 2.0, size=shape).astype(dtype)
+        g = np_rng.normal(size=shape).astype(dtype)
+        gamma, beta = np_rng.normal(size=f).astype(dtype), np_rng.normal(size=f).astype(dtype)
+        rm, rv = np_rng.normal(size=f).astype(dtype), np_rng.uniform(0.5, 2, f).astype(dtype)
+        bn = BatchNormState(Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True),
+                            rm.copy(), rv.copy())
+        xt = Tensor(x, requires_grad=True)
+        out = batch_norm(xt, bn, "train")
+        want = oracles.batch_norm_composite(x, gamma, beta, rm, rv, "train", g)
+        np.testing.assert_array_equal(out.data, want[0])
+        np.testing.assert_array_equal(bn.running_mean, rm)
+        np.testing.assert_array_equal(bn.running_var, rv)
+        (out * Tensor(g)).sum().backward()
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        for got, ref in zip((xt.grad, bn.gamma.grad, bn.beta.grad), want[1:]):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, ref, rtol=tol, atol=tol)
+
+    def test_eval_matches_composite_formulas(self, np_rng):
+        shape = (4, 3, 2, 5)
+        x, g = np_rng.normal(1.5, 2.0, size=shape), np_rng.normal(size=shape)
+        gamma, beta = np_rng.normal(size=3), np_rng.normal(size=3)
+        rm, rv = np_rng.normal(size=3), np_rng.uniform(0.5, 2, 3)
+        bn = BatchNormState(Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True),
+                            rm.copy(), rv.copy())
+        xt = Tensor(x, requires_grad=True)
+        out = batch_norm(xt, bn, "eval")
+        (out * Tensor(g)).sum().backward()
+        want = oracles.batch_norm_composite(x, gamma, beta, rm, rv, "eval", g)
+        for got, ref in zip((out.data, xt.grad, bn.gamma.grad, bn.beta.grad), want):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
     def test_eval_zero_input_fully_determined_by_params(self, np_rng):
         # gamma*(0-mu)/sqrt(var+eps)+beta broadcast over each feature map
         gamma, beta = np_rng.normal(size=3), np_rng.normal(size=3)
@@ -359,6 +395,21 @@ class TestAttention:
         _, weights = multi_head_attention(x, 2, *self._params(np_rng, 8),
                                           return_weights=True)
         np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_grad_path_equals_recording_path(self, np_rng, dtype):
+        x = Tensor(np_rng.normal(size=(2, 7, 8)).astype(dtype), requires_grad=True)
+        params = [Tensor(p.data.astype(dtype), requires_grad=True)
+                  for p in self._params(np_rng, 8)]
+        out, weights = multi_head_attention(x, 2, *params, return_weights=True)
+        assert out.requires_grad
+        with tensor.no_grad():
+            out_ng, weights_ng = multi_head_attention(x, 2, *params, return_weights=True)
+            plain = multi_head_attention(x, 2, *params)
+        assert not out_ng.requires_grad and weights_ng.dtype == dtype
+        np.testing.assert_array_equal(weights_ng.data, weights.data)
+        np.testing.assert_array_equal(out_ng.data, out.data)
+        np.testing.assert_array_equal(plain.data, out.data)
 
     def test_head_divisibility(self, np_rng):
         with pytest.raises(ConfigurationError):
