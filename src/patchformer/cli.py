@@ -1,7 +1,8 @@
 """Command-line entry point wiring data, model and experiment runs together.
 
 Every run that produces artifacts writes a manifest (resolved config, seed,
-argv, tool version) before any computation starts; `rerun` replays a manifest.
+argv, tool version, environment) before any computation starts; `rerun`
+replays a manifest.
 Flags mirror the architecture symbols (--k, --lt, --lstep, --ltoken, --nhead,
 --layers) and default to the reference recipe.
 """
@@ -13,6 +14,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, asdict
@@ -30,6 +32,7 @@ from .model import build, param_count
 from .rng import Rng
 from .segio import load_recording_csv, load_segments, save_segments
 from .synth import SynthEffect, synth_generate
+from .tensor import HEAP_REUSE
 from .train import TrainConfig, evaluate_segments, train
 from .runners import ablate, run_loso, sweep_patch_length, sweep_table
 from .verify import THRESHOLD, full_model_grad_check, op_grad_checks
@@ -44,6 +47,7 @@ class RunManifest:
     artifacts: dict
     tool_version: str
     timestamp: str
+    environment: dict
 
     def write(self, path: Path):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -131,6 +135,22 @@ def _train_config(args) -> TrainConfig:
     ).validate()
 
 
+# BLAS and OpenMP thread variables; recorded in manifests, never set
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def environment() -> dict:
+    """What a run's speed depends on besides its config and seed."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpus": os.cpu_count(),
+        "thread_env": {k: os.environ.get(k) for k in THREAD_VARS},
+        "heap_reuse": HEAP_REUSE,
+    }
+
+
 def _manifest(args, command: str, config: dict, artifacts: dict) -> RunManifest:
     return RunManifest(
         command=command,
@@ -140,6 +160,7 @@ def _manifest(args, command: str, config: dict, artifacts: dict) -> RunManifest:
         artifacts={k: str(v) for k, v in artifacts.items()},
         tool_version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
+        environment=environment(),
     )
 
 

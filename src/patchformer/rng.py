@@ -10,6 +10,7 @@ depend on how much the parent stream was consumed.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -43,9 +44,32 @@ class Rng:
     def keep_mask(self, p_drop: float, shape) -> np.ndarray:
         """Boolean keep-mask where each element survives with prob 1 - p_drop.
 
-        Drawn from float32 uniforms (24-bit resolution), which cost less than float64.
+        Equal, bit for bit and in the generator state it leaves, to
+        `random(shape, dtype=float32) >= p_drop`. A float32 uniform is
+        `(u >> 8) * 2**-24` of one 32-bit draw u, so comparing the raw draws
+        with `ceil(float32(p_drop) * 2**24) << 8` skips the conversion.
         """
-        return self._gen.random(shape, dtype=np.float32) >= p_drop
+        keep = np.empty(shape, dtype=bool)
+        flat = keep.reshape(-1)
+        n = flat.size
+        if n == 0:
+            return keep
+        steps = math.ceil(float(np.float32(p_drop)) * 2**24)
+        threshold = min(max(steps, 0), 1 << 24) << 8  # 2**32 keeps nothing
+        bitgen = self._gen.bit_generator
+        state = bitgen.state
+        head = 0
+        if state["has_uint32"]:  # the half-word an earlier odd draw left buffered
+            flat[0] = state["uinteger"] >= threshold
+            state["has_uint32"] = 0
+            bitgen.state = state
+            head = 1
+        pairs = (n - head) // 2
+        words = bitgen.random_raw(pairs).view(np.uint32)
+        np.greater_equal(words, threshold, out=flat[head:head + 2 * pairs])
+        if (n - head) % 2:
+            flat[-1] = int(self._gen.integers(0, 2**32, dtype=np.uint32)) >= threshold
+        return keep
 
     def __repr__(self):
         return f"Rng(seed={self.seed})"

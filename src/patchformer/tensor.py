@@ -14,6 +14,7 @@ the rule: finite inputs must give finite outputs.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,31 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, ShapeError
 
 DEFAULT_DTYPE = np.float32
+
+# glibc serves blocks of at least 32 MiB from fresh mmaps and unmaps them on
+# free, so every attention-sized array of a reference step ((4, 32, 264, 264)
+# float32 is 34 MiB) was faulted in page by page. Raising the mmap and trim
+# thresholds to 1 GiB, above the 571 MiB largest array of the paper's B=64
+# recipe, keeps freed step arrays on malloc's free lists for the next step to
+# reuse. Set once per process; forked fold workers inherit it.
+_HEAP_THRESHOLD = 1 << 30
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _reuse_freed_heap() -> bool:
+    """Raise glibc's mmap and trim thresholds; False where the C library has
+    no `mallopt` or refuses the value (macOS, musl, Windows)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(param, _HEAP_THRESHOLD) == 1
+                for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD)])
+
+
+HEAP_REUSE = _reuse_freed_heap()
 
 # Whether op results record their parents; switched off by `no_grad`.
 _grad_enabled = True
@@ -270,7 +296,7 @@ class Tensor:
         def bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, shape).copy(),)
+            return (np.broadcast_to(g, shape),)
 
         return Tensor._from_op(data, (self,), bw)
 
@@ -287,7 +313,7 @@ class Tensor:
         def bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g / count, shape).copy(),)
+            return (np.broadcast_to(g / count, shape),)
 
         return Tensor._from_op(data, (self,), bw)
 
@@ -323,14 +349,19 @@ class Tensor:
                     stack.append((p, False))
 
         # Per-call gradient flow lives in `flowing`; a node's total is complete
-        # when it is popped, and only leaf totals are added into .grad.
+        # when it is popped, and only leaf totals are added into .grad. No
+        # backward writes into its incoming gradient, so flowing arrays may be
+        # read-only views (a reduction's broadcast); a leaf's .grad never is.
         flowing = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
             if node._backward is None:
-                node.grad = g if node.grad is None else node.grad + g
+                if node.grad is not None:
+                    node.grad = node.grad + g
+                else:
+                    node.grad = g if g.flags.writeable else g.copy()
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:

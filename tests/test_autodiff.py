@@ -56,6 +56,12 @@ class TestBackwardBasics:
         (a * 2.0).sum().backward()
         assert b.grad is None  # treated as zero downstream
 
+    def test_reduction_gradient_reaches_leaves_writeable(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
+        (x.sum() + x.mean(axis=0).sum()).backward()
+        x.grad += 1.0  # owned by the leaf, not a broadcast view
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.5))
+
     def test_shared_subexpression(self):
         x = Tensor(np.array(2.0), requires_grad=True, dtype=np.float64)
         y = x * x
@@ -160,6 +166,38 @@ def test_each_op_passes_randomized_trials(op_name):
         f, inputs = OP_CHECKS[op_name](trial_rng(op_name, trial))
         worst = max(worst, grad_check(f, inputs))
     assert worst < THRESHOLD, f"{op_name} worst error {worst:.3e}"
+
+
+def _leaf_grads(f, inputs):
+    for t in inputs:
+        t.requires_grad = True
+        t.grad = None
+    f(*inputs).backward()
+    assert all(t.grad is None or t.grad.flags.writeable for t in inputs)
+    return [t.grad for t in inputs]
+
+
+def test_backward_never_writes_into_its_incoming_gradient(monkeypatch):
+    """Every op's backward gives the same gradients when handed a read-only one."""
+    from_op = Tensor._from_op
+
+    def read_only_gradients(data, parents, backward):
+        def bw(g):
+            g = np.array(g)
+            g.setflags(write=False)
+            return backward(g)
+
+        return from_op(data, parents, bw)
+
+    for name, make in OP_CHECKS.items():
+        for trial in range(3):
+            f, inputs = make(trial_rng(name, trial))
+            expected = _leaf_grads(f, inputs)
+            with monkeypatch.context() as m:
+                m.setattr(Tensor, "_from_op", staticmethod(read_only_gradients))
+                got = _leaf_grads(f, inputs)
+            for e, g in zip(expected, got):
+                np.testing.assert_array_equal(g, e, err_msg=f"{name} trial {trial}")
 
 
 def test_trial_inputs_do_not_depend_on_the_hash_salt():

@@ -1,12 +1,15 @@
 """End-to-end CLI runs in a temp directory."""
 
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
 
-from patchformer.cli import main
+from patchformer.cli import THREAD_VARS, main
 from patchformer.segio import load_segments
+from patchformer.tensor import HEAP_REUSE
 
 TOY_MODEL = ["--k", "4", "--lt", "4", "--lstep", "2", "--ltoken", "8",
              "--nhead", "2", "--layers", "1", "--dropout", "0.1",
@@ -40,6 +43,11 @@ class TestSynth:
         assert manifest["command"] == "synth"
         assert manifest["seed"] == 7
         assert "timestamp" in manifest and "tool_version" in manifest
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__ and env["cpus"] == os.cpu_count()
+        assert env["python"] == platform.python_version()
+        assert env["thread_env"].keys() == set(THREAD_VARS)
+        assert env["heap_reuse"] is HEAP_REUSE
 
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a.seg", tmp_path / "b.seg"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchformer.rng import Rng
 
@@ -22,6 +23,25 @@ def test_different_seeds_differ():
 def test_keep_mask_bit_identical():
     np.testing.assert_array_equal(Rng(9).keep_mask(0.5, (128,)),
                                   Rng(9).keep_mask(0.5, (128,)))
+
+
+@given(p=st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.999999]),
+       shape=st.sampled_from([(), (0,), (1,), (7,), (8,), (3, 5), (2, 0, 3), (4, 3, 7)]),
+       before=st.integers(0, 7), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_keep_mask_equals_float32_uniforms(p, shape, before, seed):
+    """Raw-word masks equal `random(float32) >= p` and leave the same stream,
+    also after an odd number of float32 draws left a half-word buffered."""
+    rng = Rng(seed)
+    twin = np.random.Generator(np.random.Philox(key=rng.seed))
+    rng._gen.random(before, dtype=np.float32)
+    twin.random(before, dtype=np.float32)
+    mask = rng.keep_mask(p, shape)
+    expected = twin.random(shape, dtype=np.float32) >= p
+    assert mask.dtype == np.bool_ and mask.shape == np.shape(expected)
+    np.testing.assert_array_equal(mask, expected)
+    np.testing.assert_array_equal(rng._gen.random(9, dtype=np.float32),
+                                  twin.random(9, dtype=np.float32))
 
 
 def test_spawn_is_stateless():

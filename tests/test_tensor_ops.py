@@ -1,5 +1,6 @@
 """Forward semantics of the differentiable kernels."""
 
+import ctypes
 import tracemalloc
 
 import numpy as np
@@ -604,3 +605,28 @@ def test_conv_temporal_memory_grows_with_the_batch_by_arrays_not_columns(monkeyp
     # output, cotangent, padded input and input gradient, a few times over
     arrays = 6 * max(f_in, f_out) * c * (t + k - 1) * 4
     assert per_sample < arrays < sample_cols / 2
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def test_large_arrays_come_from_the_reusable_heap():
+    """After import, a 64 MiB array is not mmapped, and freeing it keeps its
+    bytes on malloc's free lists for the next one."""
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (OSError, TypeError, AttributeError):
+        pytest.skip("the C library has no mallinfo2 (glibc >= 2.33 only)")
+    mallinfo2.restype = _Mallinfo2
+    mallinfo2.argtypes = []
+    assert tensor.HEAP_REUSE
+    before = mallinfo2()
+    a = np.ones(64 << 17)  # 64 MiB of float64
+    held = mallinfo2()
+    del a
+    after = mallinfo2()
+    assert held.hblkhd <= before.hblkhd
+    assert after.fordblks - held.fordblks >= 64 << 20
