@@ -54,13 +54,19 @@ def load_model(path, dtype=np.float32) -> PatchFormerModel:
     if header["format_version"] != FORMAT_VERSION:
         raise DataFormatError(f"unsupported checkpoint format version {header['format_version']}")
     where = f"checkpoint config in the {HEADER_WHERE}"
-    check_types(header["config"], typing.get_type_hints(ModelConfig), where)
-    if header["config"].get("local_graphs") is not None:
-        check_entries(header["config"], "local_graphs",
+    fields = dict(header["config"])
+    # older checkpoints name the one tokenization the model has
+    granularity = fields.pop("token_granularity", "patch_window")
+    if granularity != "patch_window":
+        raise DataFormatError(f"{where}: key 'token_granularity' is {granularity!r}; only "
+                              f"'patch_window' (one token per patch and window) is supported")
+    check_types(fields, typing.get_type_hints(ModelConfig), where)
+    if fields.get("local_graphs") is not None:
+        check_entries(fields, "local_graphs",
                       lambda g: isinstance(g, list) and all(type(i) is int for i in g),
                       "a list of channel indices", where)
     try:
-        config = ModelConfig.from_dict(header["config"])
+        config = ModelConfig.from_dict(fields)
     except TypeError as exc:  # the message names the unknown or missing field
         raise DataFormatError(f"{where}: {exc}") from exc
     model = PatchFormerModel(config, dtype=dtype)

@@ -24,17 +24,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ABLATIONS, TOKEN_GRANULARITIES, ModelConfig
-from .data import downsample, loso_split, segment
+from .config import ABLATIONS, ModelConfig
+from .data import downsample, segment
 from .container import canonical_json, check_entries, require_keys
 from .errors import ConfigurationError, DataFormatError, PatchFormerError
-from .model import build, param_count
+from .model import param_count
 from .rng import Rng
 from .segio import load_recording_csv, load_segments, save_segments
 from .synth import SynthEffect, synth_generate
 from .tensor import HEAP_REUSE
-from .train import TrainConfig, evaluate_segments, train
-from .runners import ablate, run_loso, sweep_patch_length, sweep_table
+from .train import TrainConfig, evaluate_segments
+from .runners import _run_fold, ablate, run_loso, sweep_configs, sweep_patch_length, sweep_table
 from .verify import THRESHOLD, full_model_grad_check, op_grad_checks
 
 
@@ -85,7 +85,7 @@ def _add_print_config(p):
                    help="emit the resolved configuration as canonical JSON and exit")
 
 
-def _add_model_flags(p):
+def _add_model_flags(p, ablation=True):
     g = p.add_argument_group("model")
     g.add_argument("--k", type=int, default=32, help="CNN kernel count")
     g.add_argument("--kernel-len", type=int, default=None,
@@ -98,10 +98,10 @@ def _add_model_flags(p):
     g.add_argument("--ffn-mult", type=int, default=4, help="feed-forward width multiplier")
     g.add_argument("--dropout", type=float, default=0.5)
     g.add_argument("--no-pos", action="store_true", help="disable positional embeddings")
-    g.add_argument("--ablation", choices=ABLATIONS, default="full")
+    if ablation:
+        g.add_argument("--ablation", choices=ABLATIONS, default="full")
     g.add_argument("--graphs", type=str, default=None,
                    help="local channel groups as index lists, e.g. '0,1;2,3;4,5'")
-    g.add_argument("--token-granularity", choices=TOKEN_GRANULARITIES, default="patch_window")
 
 
 def _add_train_flags(p):
@@ -123,7 +123,7 @@ def _model_config(args, ds) -> ModelConfig:
         l_t=args.lt, l_step=args.lstep, l_token=args.ltoken,
         n_head=args.nhead, n_layers=args.layers, ffn_mult=args.ffn_mult,
         dropout_p=args.dropout, positional_embedding=not args.no_pos,
-        ablation=args.ablation, token_granularity=args.token_granularity,
+        ablation=args.ablation,
     ).validate()
 
 
@@ -228,12 +228,20 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _resolve_run(args):
-    if args.parallel_folds < 1:
-        raise ConfigurationError(f"--parallel-folds must be at least 1, got {args.parallel_folds}")
+def _resolve_run(args, lengths=()):
+    """Load the data and resolve the configs of a run. Every input the run
+    could not start with is rejected here, before a manifest is written."""
+    parallel_folds = getattr(args, "parallel_folds", 1)
+    if parallel_folds < 1:
+        raise ConfigurationError(f"--parallel-folds must be at least 1, got {parallel_folds}")
     ds = load_segments(args.data)
     mc = _model_config(args, ds)
     tc = _train_config(args)
+    subject = getattr(args, "test_subject", None)
+    if subject is not None and subject not in ds.subjects:
+        raise ConfigurationError(f"--test-subject {subject!r} is not a subject of {args.data}; "
+                                 f"it holds {ds.subjects}")
+    sweep_configs(mc, lengths)
     return ds, mc, tc
 
 
@@ -247,23 +255,11 @@ def cmd_train(args) -> int:
     artifacts = {"checkpoint": out / "checkpoint.ckpt", "history": out / "history.json"}
     _manifest(args, "train", config, artifacts).write(out / "manifest.json")
 
-    subject = args.test_subject
-    root = Rng(tc.seed)
-    fold = loso_split(ds, subject, val_frac=0.2, rng=root.spawn(f"split:{subject}"))
-    model = build(mc, root.spawn(f"init:{subject}"))
-    best_state, best_epoch, history = train(
-        model, fold, tc, root.spawn(f"train:{subject}"),
-        log_fn=None if args.quiet else _emit,
-    )
-    model.load_state(best_state)
-
-    from .checkpoint import save_model
-
-    save_model(model, artifacts["checkpoint"])
-    Path(artifacts["history"]).write_text(json.dumps(history, indent=2))
-    ev = evaluate_segments(model, fold.test, tc.batch_size)
-    _emit({"event": "test", "subject": subject, "best_epoch": best_epoch,
-           "acc": ev["acc"], "auc": ev["auc"], "macro_f1": ev["macro_f1"]})
+    row, history = _run_fold(ds, mc, tc, args.test_subject, artifacts["checkpoint"],
+                             log_fn=None if args.quiet else _emit)
+    artifacts["history"].write_text(json.dumps(history, indent=2))
+    _emit({"event": "test", "subject": row.subject, "best_epoch": row.best_epoch,
+           "acc": row.acc, "auc": row.auc, "macro_f1": row.macro_f1})
     return 0
 
 
@@ -292,8 +288,7 @@ def cmd_eval(args) -> int:
 
 def _write_report(report, out: Path, name: str = "report"):
     out.mkdir(parents=True, exist_ok=True)
-    (out / f"{name}.json").write_text(
-        json.dumps(report.to_dict(include_timing=False), indent=2, sort_keys=True))
+    report.save_json(out / f"{name}.json")
     report.save_csv(out / f"{name}.csv")
 
 
@@ -318,23 +313,23 @@ def cmd_loso(args) -> int:
 def cmd_ablate(args) -> int:
     ds, mc, tc = _resolve_run(args)
     config = {"model": mc.to_dict(), "train": tc.to_dict(), "seed": args.seed,
-              "variant": args.variant}
+              "variant": args.ablation}
     if args.print_config:
         _emit(config)
         return 0
     out = Path(args.out)
     _manifest(args, "ablate", config, {"report_json": out / "report.json"}).write(
         out / "manifest.json")
-    report = ablate(ds, mc, tc, args.variant, parallel_folds=args.parallel_folds,
+    report = ablate(ds, mc, tc, args.ablation, parallel_folds=args.parallel_folds,
                     out_dir=out, log_fn=None if args.quiet else _emit)
     _write_report(report, out)
-    _emit({"event": "ablate_done", "variant": args.variant, "summary": report.summary()})
+    _emit({"event": "ablate_done", "variant": args.ablation, "summary": report.summary()})
     return 0
 
 
 def cmd_sweep(args) -> int:
-    ds, mc, tc = _resolve_run(args)
     lengths = [int(v) for v in args.lengths.split(",")]
+    ds, mc, tc = _resolve_run(args, lengths)
     config = {"model": mc.to_dict(), "train": tc.to_dict(), "seed": args.seed,
               "lengths": lengths}
     if args.print_config:
@@ -438,26 +433,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_print_config(p)
     p.set_defaults(func=cmd_preprocess)
 
-    def run_parser(name, help_text, needs_subject=False):
+    def run_parser(name, help_text, one_fold=False, ablation=True):
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--data", required=True, help="segment file")
         q.add_argument("--out", required=True)
-        if needs_subject:
+        if one_fold:
             q.add_argument("--test-subject", required=True)
-        q.add_argument("--parallel-folds", type=int, default=1)
+        else:
+            q.add_argument("--parallel-folds", type=int, default=1)
         q.add_argument("--quiet", action="store_true")
-        _add_model_flags(q)
+        _add_model_flags(q, ablation)
         _add_train_flags(q)
         _add_seed(q)
         _add_print_config(q)
         return q
 
-    run_parser("train", "train one leave-one-subject-out fold", needs_subject=True
+    run_parser("train", "train one leave-one-subject-out fold", one_fold=True
                ).set_defaults(func=cmd_train)
     run_parser("loso", "full leave-one-subject-out evaluation").set_defaults(func=cmd_loso)
 
-    p = run_parser("ablate", "LOSO with one component disabled")
-    p.add_argument("--variant", required=True,
+    p = run_parser("ablate", "LOSO with one component disabled", ablation=False)
+    # the variant is the model's ablation, so the resolved config names what runs
+    p.add_argument("--variant", dest="ablation", required=True,
                    choices=[a for a in ABLATIONS if a != "full"])
     p.set_defaults(func=cmd_ablate)
 

@@ -37,7 +37,6 @@ STANDARD_28_GROUPS = [
 ]
 
 ABLATIONS = ("full", "no_fem", "no_spm", "no_overlap")
-TOKEN_GRANULARITIES = ("patch_window", "window")
 
 
 def standard_local_graph_indices() -> list[list[int]]:
@@ -74,9 +73,6 @@ class ModelConfig:
     positional_embedding: bool = True
     ablation: str = "full"
     leaky_slope: float = 0.01
-    # experimental alternative tokenization: one token per time window,
-    # concatenating all spatial patches, instead of one per (patch, window)
-    token_granularity: str = "patch_window"
 
     # -- derived quantities -------------------------------------------------
 
@@ -99,11 +95,6 @@ class ModelConfig:
     @property
     def has_spm(self) -> bool:
         return self.ablation != "no_spm"
-
-    @property
-    def t_cnn(self) -> int:
-        """Time length after the temporal CNN's 4x pooling."""
-        return self.l // 4
 
     @property
     def t_spatial(self) -> int:
@@ -130,14 +121,11 @@ class ModelConfig:
 
     @property
     def n_tokens(self) -> int:
-        if self.token_granularity == "window":
-            return self.n_windows
+        """Token count q: one per (spatial patch, temporal window) pair."""
         return self.n_patches * self.n_windows
 
     @property
     def token_in_dim(self) -> int:
-        if self.token_granularity == "window":
-            return self.n_patches * self.k * self.l_t
         return self.k * self.l_t
 
     # -- validation -----------------------------------------------------------
@@ -173,8 +161,6 @@ class ModelConfig:
             bad(f"l_token {self.l_token} is not divisible by n_head {self.n_head}")
         if self.ablation not in ABLATIONS:
             bad(f"unknown ablation {self.ablation!r}; expected one of {ABLATIONS}")
-        if self.token_granularity not in TOKEN_GRANULARITIES:
-            bad(f"unknown token_granularity {self.token_granularity!r}")
 
         seen = set()
         for gi, group in enumerate(self.graphs):

@@ -246,11 +246,8 @@ class PatchFormerModel:
             raise ConfigurationError(f"patch length l_t={cfg.l_t} exceeds time length {t}")
         win = sliding_windows(z, cfg.l_t, cfg.step_effective)  # (B, p, k, n_w, l_t)
         n_w = win.shape[3]
-        if cfg.token_granularity == "window":
-            tok = win.transpose(0, 3, 1, 2, 4).reshape(b, n_w, p * k * cfg.l_t)
-        else:
-            # patch-major ordering: all windows of patch 0, then patch 1, ...
-            tok = win.transpose(0, 1, 3, 2, 4).reshape(b, p * n_w, k * cfg.l_t)
+        # patch-major ordering: all windows of patch 0, then patch 1, ...
+        tok = win.transpose(0, 1, 3, 2, 4).reshape(b, p * n_w, k * cfg.l_t)
         w = self.parameters
         tok = linear(tok, w["tpm.proj.weight"], w["tpm.proj.bias"])
         if cfg.positional_embedding:

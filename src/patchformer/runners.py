@@ -65,8 +65,9 @@ class ExperimentReport:
             f"F1-macro {agg['macro_f1']['mean']:.2f}+-{agg['macro_f1']['std']:.2f}%"
         )
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        """Everything but the wall time, which differs from run to run."""
+        return {
             "format_version": 1,
             "label": self.label,
             "rows": [asdict(r) for r in self.rows],
@@ -80,13 +81,10 @@ class ExperimentReport:
             },
             "histories": self.histories,
         }
-        if include_timing:
-            d["wall_clock_s"] = self.wall_clock_s
-        return d
 
     def canonical_bytes(self) -> bytes:
-        """Deterministic serialization (timing excluded), for reproducibility checks."""
-        return canonical_json(self.to_dict(include_timing=False))
+        """Deterministic serialization, for reproducibility checks."""
+        return canonical_json(self.to_dict())
 
     def save_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
@@ -111,14 +109,18 @@ def config_fingerprint(mc: ModelConfig, tc: TrainConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _run_fold(args):
-    """One LOSO fold, self-contained so folds can run in worker processes."""
-    ds, mc, tc, subject, checkpoint_path = args
+def _run_fold(ds: SegmentSet, mc: ModelConfig, tc: TrainConfig, subject: str,
+              checkpoint_path=None, log_fn=None):
+    """One LOSO fold, self-contained so folds can run in worker processes.
+
+    Returns (SubjectResult, history); `log_fn` receives each epoch's row.
+    """
     try:
         root = Rng(tc.seed)
         fold = loso_split(ds, subject, val_frac=0.2, rng=root.spawn(f"split:{subject}"))
         model = build(mc, root.spawn(f"init:{subject}"))
-        best_state, best_epoch, history = train(model, fold, tc, root.spawn(f"train:{subject}"))
+        best_state, best_epoch, history = train(model, fold, tc, root.spawn(f"train:{subject}"),
+                                                log_fn=log_fn)
         model.load_state(best_state)
         ev = evaluate_segments(model, fold.test, tc.batch_size)
         if checkpoint_path is not None:
@@ -174,7 +176,7 @@ def _init_fold_worker(blas_threads: int, ds: SegmentSet, mc: ModelConfig,
 
 
 def _run_worker_fold(subject: str, checkpoint_path):
-    return _run_fold((*_fold_inputs, subject, checkpoint_path))
+    return _run_fold(*_fold_inputs, subject, checkpoint_path)
 
 
 def run_loso(ds: SegmentSet, mc: ModelConfig, tc: TrainConfig,
@@ -229,7 +231,7 @@ def run_loso(ds: SegmentSet, mc: ModelConfig, tc: TrainConfig,
     else:
         results = []
         for s in subjects:
-            row, history = _run_fold((ds, mc, tc, s, ckpt_path(s)))
+            row, history = _run_fold(ds, mc, tc, s, ckpt_path(s))
             log(row)
             results.append((row, history))
     wall = time.perf_counter() - started
@@ -256,17 +258,14 @@ def ablate(ds: SegmentSet, mc: ModelConfig, tc: TrainConfig, variant: str,
 
 def sweep_patch_length(ds: SegmentSet, mc: ModelConfig, tc: TrainConfig,
                        lengths=(10, 20, 30, 40, 50), **run_kwargs) -> list:
-    """One LOSO report per temporal patch length."""
-    lengths = list(lengths)
-    for l_t in lengths:
-        if not 1 <= l_t <= mc.t_spatial:
-            raise ValueError(
-                f"patch length {l_t} is invalid: post-CNN time length is {mc.t_spatial}"
-            )
-    return [
-        run_loso(ds, replace(mc, l_t=l_t), tc, label=f"l_t={l_t}", **run_kwargs)
-        for l_t in lengths
-    ]
+    """One LOSO report per temporal patch length; every length is checked first."""
+    configs = sweep_configs(mc, lengths)
+    return [run_loso(ds, c, tc, label=f"l_t={c.l_t}", **run_kwargs) for c in configs]
+
+
+def sweep_configs(mc: ModelConfig, lengths) -> list:
+    """`mc` at each patch length; ConfigurationError names the first invalid one."""
+    return [replace(mc, l_t=l_t).validate() for l_t in lengths]
 
 
 def sweep_table(reports: list) -> str:

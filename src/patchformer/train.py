@@ -31,7 +31,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     decoupled_decay: bool = False
-    selection: str = "best_val_accuracy"
 
     def validate(self) -> "TrainConfig":
         if self.epochs < 1:

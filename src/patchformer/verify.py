@@ -39,12 +39,6 @@ def _t(rng, *shape, scale=1.0):
     return Tensor(scale * rng.normal(0.0, 1.0, shape), dtype=np.float64)
 
 
-def _weigh(rng, out):
-    """Project an op output to a scalar with a fixed random weighting."""
-    w = rng.normal(0.0, 1.0, out.shape)
-    return lambda y: (y * Tensor(w)).sum()
-
-
 def _check_conv_temporal(rng):
     b, fi, c, t = rng.integers(1, 3), rng.integers(1, 3), rng.integers(1, 4), rng.integers(3, 9)
     fo, k = rng.integers(1, 4), rng.integers(1, int(t) + 1)

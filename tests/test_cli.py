@@ -72,8 +72,10 @@ class TestSynth:
         ({"command": "synth"}, []), ([], []), ({"argv": ["synth", 3]}, []), ("self-rerun", []),
         ({"argv": []}, []), ({"argv": ["synth", "--out", "a.seg", "--bogus"]}, []),
         ({"argv": ["train", "--out"]}, ["--out", "elsewhere"]), ("not-json", []),
+        ({"argv": ["loso", "--data", "a.seg", "--out", "run",
+                   "--token-granularity", "patch_window"]}, []),
     ], ids=["no-argv", "array", "argv-entry-int", "self-rerun", "argv-empty", "unknown-flag",
-            "trailing-out", "not-json"])
+            "trailing-out", "not-json", "removed-token-granularity"])
     def test_rerun_rejects_malformed_manifest(self, tmp_path, capsys, manifest, extra):
         path = tmp_path / "m.json"
         if manifest == "self-rerun":
@@ -186,6 +188,48 @@ class TestRuns:
         assert not (out / "manifest.json").exists()
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigurationError" and "--parallel-folds" in err["message"]
+
+    @pytest.mark.parametrize("command, extra, named", [
+        ("train", ["--test-subject", "S09"], "S09"),
+        ("sweep", ["--lengths", "4,999"], "999"),
+        ("sweep", ["--lengths", "0,4"], "0"),
+    ], ids=["train-unknown-subject", "sweep-length-too-long", "sweep-length-zero"])
+    def test_unrunnable_input_rejected_before_manifest(self, toy_seg, tmp_path, capsys,
+                                                        command, extra, named):
+        out = tmp_path / command
+        code = main([command, "--data", str(toy_seg), "--out", str(out), "--quiet",
+                     *TOY_MODEL, *TOY_TRAIN, *extra])
+        assert code == 1
+        assert not (out / "manifest.json").exists()
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigurationError" and named in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--test-subject", "S01", "--parallel-folds", "2"],
+        ["ablate", "--variant", "no_spm", "--ablation", "no_fem"],
+    ], ids=["train-parallel-folds", "ablate-ablation"])
+    def test_flags_a_command_would_ignore_are_not_offered(self, toy_seg, tmp_path, argv):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--data", str(toy_seg), "--out", str(tmp_path / "x"), "--quiet"])
+        assert info.value.code == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_ablate_config_names_the_variant(self, toy_seg, tmp_path, capsys):
+        assert main(["ablate", "--data", str(toy_seg), "--out", str(tmp_path / "x"),
+                     "--variant", "no_fem", "--print-config", *TOY_MODEL, *TOY_TRAIN]) == 0
+        config = json.loads(capsys.readouterr().out.strip())
+        assert config["model"]["ablation"] == "no_fem" and config["variant"] == "no_fem"
+
+    def test_train_writes_the_loso_fold_checkpoint(self, toy_seg, tmp_path):
+        flags = ["--data", str(toy_seg), "--quiet", *TOY_MODEL, *TOY_TRAIN]
+        assert main(["train", "--out", str(tmp_path / "one"), "--test-subject", "S01",
+                     *flags]) == 0
+        assert main(["loso", "--out", str(tmp_path / "all"), *flags]) == 0
+        assert ((tmp_path / "one" / "checkpoint.ckpt").read_bytes()
+                == (tmp_path / "all" / "checkpoints" / "S01.ckpt").read_bytes())
+        history = json.loads((tmp_path / "one" / "history.json").read_text())
+        report = json.loads((tmp_path / "all" / "report.json").read_text())
+        assert history == report["histories"]["S01"]
 
     def test_print_config_runs_nothing(self, toy_seg, tmp_path, capsys):
         out = tmp_path / "nope"

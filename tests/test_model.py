@@ -397,16 +397,6 @@ class TestAblations:
         with pytest.raises(ConfigurationError, match="built without"):
             getattr(build(cfg, Rng(0)), stage)(x)
 
-    def test_window_granularity_flag(self, np_rng):
-        cfg = ModelConfig(c=4, l=64, f_s=16.0, k=4, local_graphs=[[0, 1], [2], [3]],
-                          l_t=4, l_step=2, l_token=8, n_head=2, n_layers=1,
-                          dropout_p=0.0, token_granularity="window")
-        assert cfg.n_tokens == cfg.n_windows
-        assert cfg.token_in_dim == cfg.n_patches * cfg.k * cfg.l_t
-        model = build(cfg, Rng(1))
-        x = Tensor(np_rng.normal(size=(1, 1, 4, 64)).astype(np.float32))
-        assert model.forward(x).shape == (1, 2)
-
 
 class TestCheckpoint:
     def test_round_trip(self, tiny_config, tmp_path, np_rng):
@@ -460,6 +450,26 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="n_experts"):
             load_model(path)
 
+    def test_legacy_token_granularity_key_loads(self, tiny_config, tmp_path, rewrite_header):
+        model = build(tiny_config, Rng(9))
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        rewrite_header(path, lambda header: {**header, "config": {
+            **header["config"], "token_granularity": "patch_window"}})
+        again = load_model(path)
+        np.testing.assert_array_equal(again.arena, model.arena)
+        for name, buffer in model.buffers.items():
+            np.testing.assert_array_equal(again.buffers[name], buffer)
+        assert again.config == tiny_config
+
+    def test_other_token_granularity_named(self, tiny_config, tmp_path, rewrite_header):
+        path = tmp_path / "model.ckpt"
+        save_model(build(tiny_config, Rng(9)), path)
+        rewrite_header(path, lambda header: {**header, "config": {
+            **header["config"], "token_granularity": "window"}})
+        with pytest.raises(DataFormatError, match="'token_granularity' is 'window'"):
+            load_model(path)
+
     # raw bytes replace the header; a function edits it into values of the wrong type
     @pytest.mark.parametrize("blob", [
         b"\xff{}", b"{", b"[]",
@@ -493,6 +503,9 @@ class TestCheckpoint:
         pytest.param(lambda header: {**header, "config": {**header["config"],
                                                           "local_graphs": [[0.5]]}},
                      id="config-graph-entry-float"),
+        pytest.param(lambda header: {**header, "config": {**header["config"],
+                                                          "token_granularity": "window"}},
+                     id="config-token-granularity-window"),
     ])
     def test_undecodable_header(self, tiny_config, tmp_path, rewrite_header, blob):
         path = tmp_path / "model.ckpt"

@@ -91,7 +91,7 @@ class TestRunLoso:
             pytest.skip("numpy's BLAS is not an OpenBLAS with a thread getter and setter")
         getter.argtypes, getter.restype = [], ctypes.c_int
 
-        def report_threads(model, fold, tc, rng):  # best_epoch carries the worker's count
+        def report_threads(model, fold, tc, rng, log_fn=None):  # best_epoch: the worker's count
             return model.state_dict(), getter(), []
 
         monkeypatch.setattr(runners, "train", report_threads)
@@ -144,7 +144,7 @@ class TestRunLoso:
 
         bad_tc = micro_tc(lr0=1e30)  # diverges immediately
         with pytest.raises(TrainingDivergedError, match="subject 'S02'"):
-            _run_fold((micro_dataset, micro_config, bad_tc, "S02", None))
+            _run_fold(micro_dataset, micro_config, bad_tc, "S02")
 
     @pytest.mark.parametrize("parallel_folds", [1, 2])
     def test_foreign_fold_error_is_wrapped(self, micro_dataset, micro_config, monkeypatch,
