@@ -270,6 +270,9 @@ def cmd_eval(args) -> int:
     model = load_model(args.checkpoint)
     ds = load_segments(args.data)
     if args.subject is not None:
+        if args.subject not in ds.subjects:
+            raise ConfigurationError(f"--subject {args.subject!r} is not a subject of "
+                                     f"{args.data}; it holds {ds.subjects}")
         ds = ds.subset(np.flatnonzero(ds.subject_ids == args.subject))
     if args.print_config:
         _emit({"model": model.config.to_dict(), "n_segments": ds.n})
@@ -328,7 +331,13 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    lengths = [int(v) for v in args.lengths.split(",")]
+    lengths = []
+    for position, entry in enumerate(args.lengths.split(","), 1):
+        try:
+            lengths.append(int(entry))
+        except ValueError:
+            raise ConfigurationError(f"--lengths entry {position} ({entry!r}) of "
+                                     f"{args.lengths!r} is not an integer") from None
     ds, mc, tc = _resolve_run(args, lengths)
     config = {"model": mc.to_dict(), "train": tc.to_dict(), "seed": args.seed,
               "lengths": lengths}

@@ -26,8 +26,10 @@ from .errors import ConfigurationError, ShapeError
 DEFAULT_DTYPE = np.float32
 
 # glibc serves blocks of at least 32 MiB from fresh mmaps and unmaps them on
-# free, so every attention-sized array of a reference step ((4, 32, 264, 264)
-# float32 is 34 MiB) was faulted in page by page. Raising the mmap and trim
+# free, so every attention-sized array of a reference train step
+# ((4, 32, 264, 264) float32 is 34 MiB) was faulted in page by page. Only
+# recording (training) forwards build these S x S arrays; a no-graph forward
+# scores attention in _SCORE_BYTES blocks. Raising the mmap and trim
 # thresholds to 1 GiB, above the 571 MiB largest array of the paper's B=64
 # recipe, keeps freed step arrays on malloc's free lists for the next step to
 # reuse. Set once per process; forked fold workers inherit it.
@@ -75,6 +77,11 @@ _SHORT_AXIS = 8
 # Cap on the im2col column block of a temporal convolution: samples are
 # lowered to columns in chunks whose block stays below this many bytes.
 _COLUMN_BYTES = 32 << 20
+
+# Cap on the score block of the no-graph attention core: (batch, head) slices
+# are scored, normalized and applied to v in groups whose S x S scores fit
+# this many bytes, so each group's passes stay in a per-core L2 cache.
+_SCORE_BYTES = 1 << 20
 
 
 def _short_axis_mean(a: np.ndarray) -> np.ndarray:
@@ -426,9 +433,13 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     return Tensor._from_op(data, (x,), bw)
 
 
-def _softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Stable softmax of `a` along one axis, into `out` (which may be `a`)."""
-    y = np.subtract(a, a.max(axis=axis, keepdims=True), out=out)
+def _softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None,
+             amax: np.ndarray | None = None) -> np.ndarray:
+    """Stable softmax of `a` along one axis, into `out` (which may be `a`);
+    `amax`, when given, is `a.max(axis, keepdims=True)`."""
+    if amax is None:
+        amax = a.max(axis=axis, keepdims=True)
+    y = np.subtract(a, amax, out=out)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
     return y
@@ -456,12 +467,16 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(y, (x,), bw)
 
 
-def dropout(x: Tensor, p: float, rng=None, mode: str = "train") -> Tensor:
-    """Inverted dropout: zero with prob p and rescale survivors; eval is identity."""
+def _check_dropout(p: float, mode: str) -> None:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+
+
+def dropout(x: Tensor, p: float, rng=None, mode: str = "train") -> Tensor:
+    """Inverted dropout: zero with prob p and rescale survivors; eval is identity."""
+    _check_dropout(p, mode)
     if mode == "eval" or p == 0.0:
         return x
     if rng is None:
@@ -762,6 +777,41 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # ---------------------------------------------------------------------------
 
 
+def _attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """softmax(q k^T) v over the last two axes of (B, H, S, dh) arrays, no graph.
+
+    (batch, head) slices go through one reused _SCORE_BYTES buffer in groups,
+    so the (B, H, S, S) scores never exist at once. Each group runs the same
+    per-slice matmuls and the same per-row max, subtract, exp, sum and divide
+    as `_softmax(q @ k^T) @ v`, so the result is bit-identical to it.
+    """
+    b, h, s, dh = q.shape
+    n = b * h
+    q, k, v = (np.ascontiguousarray(a).reshape(n, s, dh) for a in (q, k, v))
+    score_dtype = np.result_type(q, k)
+    ctx = np.empty((n, s, dh), dtype=np.result_type(score_dtype, v))
+    step = max(1, _SCORE_BYTES // (s * s * score_dtype.itemsize))
+    buf = np.empty((min(step, n), s, s), dtype=score_dtype)
+    if dh == 1:
+        # a score is the single product q_i * k_j, and rounding is monotone,
+        # so a row's max is q_i * max(k) where q_i >= 0 and q_i * min(k) elsewhere
+        kt = k.reshape(n, 1, s)
+        rowmax = q * np.where(q >= 0, kt.max(axis=-1, keepdims=True),
+                              kt.min(axis=-1, keepdims=True))
+    else:
+        kt = k.transpose(0, 2, 1)
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        block = buf[:j - i]
+        if dh == 1:
+            np.multiply(q[i:j], kt[i:j], out=block)
+            _softmax(block, -1, out=block, amax=rowmax[i:j])
+        else:
+            _softmax(np.matmul(q[i:j], kt[i:j], out=block), -1, out=block)
+        np.matmul(block, v[i:j], out=ctx[i:j])
+    return ctx.reshape(b, h, s, dh)
+
+
 def multi_head_attention(
     x: Tensor,
     n_head: int,
@@ -778,7 +828,9 @@ def multi_head_attention(
 
     x is (S, D) or (B, S, D); the model width D must divide evenly into
     n_head heads, each scoring with 1/sqrt(D / n_head) scaling. Dropout, when
-    requested, is applied to the attention weights.
+    requested, is applied to the attention weights. When no graph is recorded,
+    no weights are returned and dropout is off, the blocked `_attention_core`
+    computes the same values without the (B, H, S, S) arrays.
     """
     squeeze = x.ndim == 2
     if squeeze:
@@ -788,6 +840,8 @@ def multi_head_attention(
     b, s, d = x.shape
     if d % n_head != 0:
         raise ConfigurationError(f"model width {d} is not divisible by {n_head} heads")
+    if dropout_p > 0:
+        _check_dropout(dropout_p, mode)
     dh = d // n_head
 
     def split_heads(t: Tensor) -> Tensor:
@@ -798,14 +852,14 @@ def multi_head_attention(
     k = split_heads(linear(x, wk, bk))
     v = split_heads(linear(x, wv, bv))
 
-    scores = q @ k.transpose(0, 1, 3, 2)
-    if scores.requires_grad:
-        weights = softmax(scores, axis=-1)
-    else:  # no graph holds the scores, so they are normalized where they lie
-        weights = Tensor(_softmax(scores.data, -1, out=scores.data))
-    attn = dropout(weights, dropout_p, rng, mode) if dropout_p > 0 else weights
-    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, s, d)
-    out = linear(ctx, wo, bo)
+    if (return_weights or q.requires_grad or k.requires_grad or v.requires_grad
+            or (dropout_p > 0 and mode == "train")):
+        weights = softmax(q @ k.transpose(0, 1, 3, 2), axis=-1)
+        attn = dropout(weights, dropout_p, rng, mode) if dropout_p > 0 else weights
+        ctx = attn @ v
+    else:
+        ctx = Tensor(_attention_core(q.data, k.data, v.data))
+    out = linear(ctx.transpose(0, 2, 1, 3).reshape(b, s, d), wo, bo)
     if squeeze:
         out = out.reshape(s, d)
     if return_weights:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LosoFold, SegmentSet
-from .errors import TrainingDivergedError
+from .errors import ConfigurationError, TrainingDivergedError
 from .losses import cross_entropy
 from .metrics import accuracy, macro_f1, roc_auc
 from .model import PatchFormerModel
@@ -34,11 +34,11 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
+            raise ConfigurationError(f"lr0 must be positive, got {self.lr0}")
         return self
 
     def to_dict(self) -> dict:

@@ -150,6 +150,19 @@ class TestRuns:
         eval_line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert eval_line["acc"] == pytest.approx(test_line["acc"])
 
+    def test_eval_of_an_unknown_subject_is_rejected(self, toy_seg, tmp_path, capsys):
+        out = tmp_path / "fold"
+        assert main(["train", "--data", str(toy_seg), "--out", str(out),
+                     "--test-subject", "S01", "--quiet", *TOY_MODEL, *TOY_TRAIN]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.ckpt"),
+                     "--data", str(toy_seg), "--subject", "S99"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip())
+        assert err["error"] == "ConfigurationError"
+        assert "S99" in err["message"] and str(toy_seg) in err["message"]
+
     def test_train_epoch_logs_are_json(self, toy_seg, tmp_path, capsys):
         out = tmp_path / "fold"
         assert main(["train", "--data", str(toy_seg), "--out", str(out),
@@ -170,12 +183,14 @@ class TestRuns:
         table = (out2 / "sweep.csv").read_text().strip().splitlines()
         assert len(table) == 3
 
-    def test_invalid_train_config_rejected_before_manifest(self, toy_seg, tmp_path):
+    def test_invalid_train_config_rejected_before_manifest(self, toy_seg, tmp_path, capsys):
         out = tmp_path / "willfail"
         code = main(["loso", "--data", str(toy_seg), "--out", str(out), "--quiet",
                      *TOY_MODEL, "--epochs", "0"])
         assert code == 1
         assert not (out / "manifest.json").exists()
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigurationError" and "epochs" in err["message"]
 
     @pytest.mark.parametrize("command", ["loso", "ablate", "sweep"])
     def test_parallel_folds_below_one_rejected_before_manifest(self, toy_seg, tmp_path,
@@ -193,7 +208,9 @@ class TestRuns:
         ("train", ["--test-subject", "S09"], "S09"),
         ("sweep", ["--lengths", "4,999"], "999"),
         ("sweep", ["--lengths", "0,4"], "0"),
-    ], ids=["train-unknown-subject", "sweep-length-too-long", "sweep-length-zero"])
+        ("sweep", ["--lengths", "4,a"], "--lengths entry 2 ('a')"),
+    ], ids=["train-unknown-subject", "sweep-length-too-long", "sweep-length-zero",
+            "sweep-length-not-integer"])
     def test_unrunnable_input_rejected_before_manifest(self, toy_seg, tmp_path, capsys,
                                                         command, extra, named):
         out = tmp_path / command

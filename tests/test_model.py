@@ -18,7 +18,7 @@ from patchformer.config import (
 from patchformer.errors import ConfigurationError, DataFormatError, ShapeError
 from patchformer.model import aggregate, buffer_shapes, build, param_count, parameter_shapes
 from patchformer.rng import Rng
-from patchformer.tensor import Tensor, pack, softmax
+from patchformer.tensor import Tensor, no_grad, pack, softmax
 
 import oracles
 
@@ -177,6 +177,17 @@ class TestStageShapes:
         a = model.forward(Tensor(x)).data
         b = model.forward(Tensor(x)).data
         np.testing.assert_array_equal(a, b)
+
+    def test_reference_eval_forward_without_graph_is_bit_identical(self, np_rng):
+        # the no-graph forward runs the blocked attention core, the recording
+        # forward the composite softmax graph; eval logits must agree bit for bit
+        model = build(reference_config(), Rng(4))
+        x = Tensor(np_rng.normal(size=(2, 1, 28, 1000)).astype(np.float32))
+        recorded = model.forward(x, mode="eval")
+        assert recorded.requires_grad
+        with no_grad():
+            blocked = model.forward(x, mode="eval")
+        np.testing.assert_array_equal(blocked.data, recorded.data)
 
     def test_wrong_input_rank(self, tiny_config, np_rng):
         model = build(tiny_config, Rng(3))

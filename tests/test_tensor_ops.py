@@ -412,6 +412,74 @@ class TestAttention:
         np.testing.assert_array_equal(out_ng.data, out.data)
         np.testing.assert_array_equal(plain.data, out.data)
 
+    # -- the blocked no-graph core against the recording path -----------------
+
+    @staticmethod
+    def _both_paths(x, n_head, params):
+        """(recorded, blocked) outputs: the composite graph, then the no-graph core."""
+        leaves = [Tensor(p, requires_grad=True) for p in params]
+        recorded = multi_head_attention(Tensor(x, requires_grad=True), n_head, *leaves)
+        assert recorded.requires_grad
+        with tensor.no_grad():
+            blocked = multi_head_attention(Tensor(x), n_head, *leaves)
+        return recorded.data, blocked.data
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("per_block", [1, 5, 12, 100])
+    @pytest.mark.parametrize("d, n_head", [(8, 2), (4, 4)], ids=["dh4", "dh1"])
+    def test_blocked_core_is_bit_identical(self, np_rng, monkeypatch, dtype, per_block,
+                                           d, n_head):
+        # B*H = 3*n_head slices, grouped per_block at a time (5 divides neither 6 nor 12)
+        b, s = 3, 10
+        monkeypatch.setattr(tensor, "_SCORE_BYTES", per_block * s * s * np.dtype(dtype).itemsize)
+        x = np_rng.normal(size=(b, s, d)).astype(dtype)
+        params = [p.data.astype(dtype) for p in self._params(np_rng, d)]
+        recorded, blocked = self._both_paths(x, n_head, params)
+        assert blocked.dtype == dtype
+        np.testing.assert_array_equal(blocked, recorded)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_core_row_max_from_the_sign_of_q(self, np_rng, dtype):
+        # d_head = 1 and identity projections: q = x, k = x - 5 < 0 everywhere,
+        # with zero, negative-zero and negative entries of q
+        d = 4
+        x = np_rng.normal(size=(2, 9, d)).clip(-3, 3).astype(dtype)
+        x[0, :3] = 0.0
+        x[1, 2] = -0.0
+        x[1, 5:] = -np.abs(x[1, 5:])
+        eye, zero = np.eye(d, dtype=dtype), np.zeros(d, dtype=dtype)
+        params = [eye, zero, eye, np.full(d, -5.0, dtype), eye, zero, eye, zero]
+        recorded, blocked = self._both_paths(x, d, params)
+        np.testing.assert_array_equal(blocked, recorded)
+
+    def test_blocked_core_unbatched_input(self, np_rng):
+        x = np_rng.normal(size=(7, 8))
+        params = [p.data for p in self._params(np_rng, 8)]
+        recorded, blocked = self._both_paths(x, 2, params)
+        assert blocked.shape == (7, 8)
+        np.testing.assert_array_equal(blocked, recorded)
+
+    @pytest.mark.parametrize("p, mode", [(1.0, "eval"), (0.1, "test")])
+    def test_no_graph_attention_still_checks_dropout(self, np_rng, p, mode):
+        with tensor.no_grad(), pytest.raises(ValueError, match="dropout|mode"):
+            multi_head_attention(Tensor(np_rng.normal(size=(3, 8))), 2,
+                                 *self._params(np_rng, 8), dropout_p=p, mode=mode)
+
+    def test_no_graph_attention_keeps_no_score_array(self, np_rng):
+        # the reference shape: 264 tokens, 32 heads of width 1; one
+        # (4, 32, 264, 264) float32 score array is 34 MiB
+        x = Tensor(np_rng.normal(size=(4, 264, 32)).astype(np.float32))
+        params = [Tensor(p.data.astype(np.float32)) for p in self._params(np_rng, 32)]
+        tracemalloc.start()
+        try:
+            with tensor.no_grad():
+                out = multi_head_attention(x, 32, *params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4, 264, 32)
+        assert peak < 4 * 32 * 264 * 264 * 4 // 8
+
     def test_head_divisibility(self, np_rng):
         with pytest.raises(ConfigurationError):
             multi_head_attention(Tensor(np_rng.normal(size=(3, 7))), 2,
