@@ -31,7 +31,7 @@ from .errors import ConfigurationError, DataFormatError, PatchFormerError
 from .model import param_count
 from .rng import Rng
 from .segio import load_recording_csv, load_segments, save_segments
-from .synth import SynthEffect, synth_generate
+from .synth import SynthEffect, check_request, synth_generate
 from .tensor import HEAP_REUSE
 from .train import TrainConfig, evaluate_segments
 from .runners import _run_fold, ablate, run_loso, sweep_configs, sweep_patch_length, sweep_table
@@ -63,16 +63,29 @@ def _default_seed() -> int:
     return int(os.environ.get("PATCHFORMER_SEED", "0"))
 
 
+def _int_entry(entry: str, flag: str, position, text: str) -> int:
+    """One integer of a flag's list; a ConfigurationError names the flag, the
+    entry and its position otherwise."""
+    try:
+        return int(entry)
+    except ValueError:
+        raise ConfigurationError(f"{flag} entry {position} ({entry!r}) of {text!r} "
+                                 "is not an integer") from None
+
+
 def _parse_graphs(text):
     if text is None:
         return None
-    return [[int(ch) for ch in group.split(",") if ch != ""] for group in text.split(";")]
+    return [[_int_entry(ch, "--graphs", f"{i} of group {g}", text)
+             for i, ch in enumerate(group.split(","), 1) if ch != ""]
+            for g, group in enumerate(text.split(";"), 1)]
 
 
 def _parse_channels(text):
     if text is None:
         return None
-    return tuple(int(ch) for ch in text.split(",") if ch != "")
+    return tuple(_int_entry(ch, "--effect-channels", i, text)
+                 for i, ch in enumerate(text.split(","), 1) if ch != "")
 
 
 def _add_seed(p):
@@ -173,6 +186,7 @@ def cmd_synth(args) -> int:
         channels=_parse_channels(args.effect_channels),
         gain_jitter=args.jitter, noise_scale=args.noise_scale,
     )
+    check_request(args.subjects, args.per_class, args.channels, args.length, effect)
     config = {
         "data": {
             "n_subjects": args.subjects, "segs_per_class": args.per_class,
@@ -331,13 +345,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    lengths = []
-    for position, entry in enumerate(args.lengths.split(","), 1):
-        try:
-            lengths.append(int(entry))
-        except ValueError:
-            raise ConfigurationError(f"--lengths entry {position} ({entry!r}) of "
-                                     f"{args.lengths!r} is not an integer") from None
+    lengths = [_int_entry(entry, "--lengths", i, args.lengths)
+               for i, entry in enumerate(args.lengths.split(","), 1)]
     ds, mc, tc = _resolve_run(args, lengths)
     config = {"model": mc.to_dict(), "train": tc.to_dict(), "seed": args.seed,
               "lengths": lengths}

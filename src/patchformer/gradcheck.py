@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .tensor import Tensor
 
 
@@ -23,6 +24,8 @@ def grad_check(f, inputs, eps: float = 1e-5) -> float:
     max over elements of |analytic - numeric| / max(1, |analytic|, |numeric|),
     or inf if any value involved is non-finite.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigurationError(f"finite-difference step eps must be finite and > 0, got {eps}")
     inputs = [t if isinstance(t, Tensor) else Tensor(t, dtype=np.float64) for t in inputs]
     for t in inputs:
         if t.data.dtype != np.float64:

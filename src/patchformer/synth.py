@@ -14,6 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .data import SegmentSet
+from .errors import ConfigurationError
 from .rng import Rng
 
 
@@ -43,17 +44,26 @@ def _pink_noise(rng: Rng, c: int, l: int) -> np.ndarray:
     return signal / (signal.std(axis=1, keepdims=True) + 1e-12)
 
 
+def check_request(n_subjects: int, segs_per_class: int, c: int, l: int,
+                  effect: SynthEffect) -> list:
+    """The effect's channels of a request `synth_generate` can serve; a
+    ConfigurationError names what it cannot."""
+    if n_subjects < 1 or segs_per_class < 1 or c < 1 or l < 1:
+        raise ConfigurationError("n_subjects, segs_per_class, c and l must all be >= 1, "
+                                 f"got {n_subjects}, {segs_per_class}, {c}, {l}")
+    target = effect.resolve_channels(c)
+    if any(not 0 <= ch < c for ch in target):
+        raise ConfigurationError(f"effect channels {target} out of range for c={c}")
+    return target
+
+
 def synth_generate(n_subjects: int, segs_per_class: int, c: int, l: int,
                    f_s: float, effect: SynthEffect | None = None,
                    rng: Rng | None = None) -> SegmentSet:
     """Balanced labeled segments for n_subjects; deterministic given the seed."""
-    if n_subjects < 1 or segs_per_class < 1 or c < 1 or l < 1:
-        raise ValueError("n_subjects, segs_per_class, c and l must all be >= 1")
     effect = effect or SynthEffect()
     rng = rng or Rng(0)
-    target = effect.resolve_channels(c)
-    if any(not 0 <= ch < c for ch in target):
-        raise ValueError(f"effect channels {target} out of range for c={c}")
+    target = check_request(n_subjects, segs_per_class, c, l, effect)
 
     n = n_subjects * segs_per_class * 2
     X = np.empty((n, c, l), dtype=np.float64)

@@ -181,12 +181,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def bw(g):
-            return (-g,)
-
-        return Tensor._from_op(-self.data, (self,), bw)
-
     def __sub__(self, other):
         other = self._coerce(other)
         data = self.data - other.data
@@ -195,9 +189,6 @@ class Tensor:
             return _unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)
 
         return Tensor._from_op(data, (self, other), bw)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -212,31 +203,6 @@ class Tensor:
         return Tensor._from_op(data, (self, other), bw)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        data = self.data / other.data
-
-        def bw(g):
-            return (
-                _unbroadcast(g / other.data, self.shape),
-                _unbroadcast(-g * self.data / (other.data * other.data), other.shape),
-            )
-
-        return Tensor._from_op(data, (self, other), bw)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        data = self.data ** exponent
-
-        def bw(g):
-            return (g * exponent * self.data ** (exponent - 1),)
-
-        return Tensor._from_op(data, (self,), bw)
 
     def __matmul__(self, other):
         other = self._coerce(other)
@@ -275,16 +241,6 @@ class Tensor:
 
         def bw(g):
             return (g.transpose(inverse),)
-
-        return Tensor._from_op(data, (self,), bw)
-
-    def __getitem__(self, key):
-        data = self.data[key]
-
-        def bw(g):
-            gx = np.zeros_like(self.data)
-            np.add.at(gx, key, g)
-            return (gx,)
 
         return Tensor._from_op(data, (self,), bw)
 
@@ -452,17 +408,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def bw(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         return ((g - dot) * y,)
-
-    return Tensor._from_op(y, (x,), bw)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
-    z = x.data - m
-    y = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-    def bw(g):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
 
     return Tensor._from_op(y, (x,), bw)
 
@@ -822,15 +767,14 @@ def multi_head_attention(
     dropout_p: float = 0.0,
     rng=None,
     mode: str = "eval",
-    return_weights: bool = False,
-):
+) -> Tensor:
     """Full bidirectional scaled dot-product attention over tokens.
 
     x is (S, D) or (B, S, D); the model width D must divide evenly into
     n_head heads, each scoring with 1/sqrt(D / n_head) scaling. Dropout, when
-    requested, is applied to the attention weights. When no graph is recorded,
-    no weights are returned and dropout is off, the blocked `_attention_core`
-    computes the same values without the (B, H, S, S) arrays.
+    requested, is applied to the attention weights. When no graph is recorded
+    and dropout is off, the blocked `_attention_core` computes the same values
+    without the (B, H, S, S) arrays.
     """
     squeeze = x.ndim == 2
     if squeeze:
@@ -852,7 +796,7 @@ def multi_head_attention(
     k = split_heads(linear(x, wk, bk))
     v = split_heads(linear(x, wv, bv))
 
-    if (return_weights or q.requires_grad or k.requires_grad or v.requires_grad
+    if (q.requires_grad or k.requires_grad or v.requires_grad
             or (dropout_p > 0 and mode == "train")):
         weights = softmax(q @ k.transpose(0, 1, 3, 2), axis=-1)
         attn = dropout(weights, dropout_p, rng, mode) if dropout_p > 0 else weights
@@ -860,8 +804,4 @@ def multi_head_attention(
     else:
         ctx = Tensor(_attention_core(q.data, k.data, v.data))
     out = linear(ctx.transpose(0, 2, 1, 3).reshape(b, s, d), wo, bo)
-    if squeeze:
-        out = out.reshape(s, d)
-    if return_weights:
-        return out, weights
-    return out
+    return out.reshape(s, d) if squeeze else out

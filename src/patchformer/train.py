@@ -49,6 +49,8 @@ class TrainConfig:
 
 def predict_proba(model: PatchFormerModel, X: np.ndarray, batch_size: int = 64) -> np.ndarray:
     """Eval-mode class probabilities, batched; X is (n, c, l). Records no graph."""
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     probs = []
     with no_grad():
         for start in range(0, len(X), batch_size):

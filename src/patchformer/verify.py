@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ModelConfig
+from .errors import ConfigurationError
 from .gradcheck import grad_check
 from .losses import cross_entropy
 from .model import aggregate, build
@@ -25,7 +26,6 @@ from .tensor import (
     layer_norm,
     leaky_relu,
     linear,
-    log_softmax,
     multi_head_attention,
     relu,
     sliding_windows,
@@ -137,12 +137,6 @@ def _check_softmax(rng):
     return lambda x: (softmax(x, -1) * Tensor(w)).sum(), [x]
 
 
-def _check_log_softmax(rng):
-    x = _t(rng, rng.integers(1, 4), rng.integers(2, 6), scale=3.0)
-    w = rng.normal(0.0, 1.0, x.shape)
-    return lambda x: (log_softmax(x, -1) * Tensor(w)).sum(), [x]
-
-
 def _check_dropout(rng):
     x = _t(rng, rng.integers(2, 6), rng.integers(2, 6))
     p = float(rng.uniform(0.1, 0.7))
@@ -193,7 +187,7 @@ def _check_arithmetic(rng):
 
     def f(a, b, c):
         mixed = (a * b + a - b * 0.5) @ c
-        return (mixed * Tensor(w)).sum() + (a ** 2).mean()
+        return (mixed * Tensor(w)).sum() + (a * a).mean()
 
     return f, [a, b, c]
 
@@ -210,7 +204,6 @@ OP_CHECKS = {
     "relu": _check_relu,
     "leaky_relu": _check_leaky_relu,
     "softmax": _check_softmax,
-    "log_softmax": _check_log_softmax,
     "dropout": _check_dropout,
     "multi_head_attention": _check_attention,
     "aggregate": _check_aggregate,
@@ -226,6 +219,8 @@ def trial_rng(name: str, trial: int, seed: int = 0) -> np.random.Generator:
 
 def op_grad_checks(trials: int = 20, eps: float = 1e-5, seed: int = 0) -> dict:
     """Worst relative error per op over `trials` randomized shapes/values."""
+    if trials < 1:
+        raise ConfigurationError(f"gradient checks need at least 1 trial, got {trials}")
     results = {}
     for name, make in OP_CHECKS.items():
         worst = 0.0

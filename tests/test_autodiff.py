@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import patchformer
+from patchformer.errors import ConfigurationError
 from patchformer.gradcheck import grad_check
 from patchformer.losses import cross_entropy
 from patchformer.model import build
@@ -20,7 +21,7 @@ from patchformer.verify import OP_CHECKS, THRESHOLD, op_grad_checks, trial_rng
 class TestBackwardBasics:
     def test_square_at_three(self):
         x = Tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
-        (x ** 2).backward()
+        (x * x).backward()
         assert x.grad == pytest.approx(6.0)
 
     def test_linear_grad_outer_product_structure(self, np_rng):
@@ -33,7 +34,7 @@ class TestBackwardBasics:
 
     def test_accumulation_doubles(self):
         x = Tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
-        loss = x ** 2
+        loss = x * x
         loss.backward()
         loss.backward()
         assert x.grad == pytest.approx(12.0)
@@ -151,11 +152,23 @@ class TestGradCheckHarness:
     def test_non_finite_reports_failure(self):
         x = Tensor(np.array([1.0, 2.0]), dtype=np.float64)
 
+        def reciprocal(t):
+            def bw(g):
+                return (-g / (t.data * t.data),)
+
+            return Tensor._from_op(1.0 / t.data, (t,), bw)
+
         def f(x):
-            return ((x - 1.0) ** -1).sum()  # pole at x=1 -> non-finite
+            return reciprocal(x - 1.0).sum()  # pole at x=1 -> non-finite
 
         with np.errstate(divide="ignore"):
             assert grad_check(f, [x]) == np.inf
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_rejects_a_step_that_is_not_finite_and_positive(self, eps):
+        x = Tensor(np.array([1.0, 2.0]), dtype=np.float64)
+        with pytest.raises(ConfigurationError, match="eps"):
+            grad_check(lambda x: (x * x).sum(), [x], eps=eps)
 
 
 @pytest.mark.parametrize("op_name", sorted(OP_CHECKS))

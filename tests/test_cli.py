@@ -85,6 +85,20 @@ class TestSynth:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "DataFormatError"
 
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"subjects": 0}, "got 0, 6, 4, 64"),
+        ({"channels": 6, "effect-channels": "0,9"}, "[0, 9] out of range for c=6"),
+        ({"effect-channels": "0,x"}, "--effect-channels entry 2 ('x') of '0,x'"),
+    ], ids=["no-subjects", "channel-out-of-range", "channel-not-integer"])
+    def test_unservable_request_rejected_before_manifest(self, tmp_path, capsys,
+                                                         overrides, named):
+        out = tmp_path / "s.seg"
+        assert main(synth_args(out, **overrides)) == 1
+        assert list(tmp_path.iterdir()) == []
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigurationError" and named in err["message"]
+
+
 class TestPreprocess:
     def test_csv_pipeline(self, tmp_path):
         csv_path = tmp_path / "rec.csv"
@@ -163,6 +177,18 @@ class TestRuns:
         assert err["error"] == "ConfigurationError"
         assert "S99" in err["message"] and str(toy_seg) in err["message"]
 
+    def test_eval_batch_size_below_one_is_rejected(self, toy_seg, tmp_path, capsys):
+        out = tmp_path / "fold"
+        assert main(["train", "--data", str(toy_seg), "--out", str(out),
+                     "--test-subject", "S01", "--quiet", *TOY_MODEL, *TOY_TRAIN]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.ckpt"),
+                     "--data", str(toy_seg), "--batch-size", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip())
+        assert err["error"] == "ConfigurationError" and "got 0" in err["message"]
+
     def test_train_epoch_logs_are_json(self, toy_seg, tmp_path, capsys):
         out = tmp_path / "fold"
         assert main(["train", "--data", str(toy_seg), "--out", str(out),
@@ -209,8 +235,9 @@ class TestRuns:
         ("sweep", ["--lengths", "4,999"], "999"),
         ("sweep", ["--lengths", "0,4"], "0"),
         ("sweep", ["--lengths", "4,a"], "--lengths entry 2 ('a')"),
+        ("loso", ["--graphs", "0,a;1"], "--graphs entry 2 of group 1 ('a') of '0,a;1'"),
     ], ids=["train-unknown-subject", "sweep-length-too-long", "sweep-length-zero",
-            "sweep-length-not-integer"])
+            "sweep-length-not-integer", "graphs-not-integer"])
     def test_unrunnable_input_rejected_before_manifest(self, toy_seg, tmp_path, capsys,
                                                         command, extra, named):
         out = tmp_path / command
@@ -270,6 +297,17 @@ class TestGradcheckCommand:
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert lines[-1]["event"] == "gradcheck_done" and lines[-1]["ok"] is True
         assert all(l.get("ok", True) for l in lines)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--trials", "0"], "got 0"), (["--trials", "-2"], "got -2"),
+        (["--eps", "0"], "eps"), (["--eps", "nan"], "eps"),
+    ], ids=["trials-zero", "trials-negative", "eps-zero", "eps-nan"])
+    def test_a_check_that_would_check_nothing_is_rejected(self, capsys, flags, named):
+        assert main(["gradcheck", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip())
+        assert err["error"] == "ConfigurationError" and named in err["message"]
 
 
 class TestSeedEnvVar:

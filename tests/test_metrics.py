@@ -125,6 +125,23 @@ class TestCrossEntropy:
         b = float(cross_entropy(Tensor(logits + 123.456, dtype=np.float64), labels).data)
         assert abs(a - b) < 1e-9
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b", [1, 4, 64])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_the_composite_graph_bit_for_bit(self, dtype, b, k):
+        rng = np.random.default_rng(10 * b + k)
+        for scale in (1.0, 30.0, 1000.0):
+            logits = (scale * rng.uniform(-1.0, 1.0, (b, k))).astype(dtype)
+            labels = rng.integers(0, k, b)
+            x = Tensor(logits, requires_grad=True)
+            loss = cross_entropy(x, labels)
+            loss.backward()
+            want_loss, want_grad = oracles.cross_entropy_composite(logits, labels)
+            for got, want in ((np.asarray(loss.data), want_loss), (x.grad, want_grad)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             cross_entropy(Tensor(np.zeros((1, 2))), [2])
