@@ -4,7 +4,8 @@ Every run that produces artifacts writes a manifest (resolved config, seed,
 argv, tool version, environment) before any computation starts; `rerun`
 replays a manifest.
 Flags mirror the architecture symbols (--k, --lt, --lstep, --ltoken, --nhead,
---layers) and default to the reference recipe.
+--layers); a model or training flag that is not given leaves its field at the
+`ModelConfig` / `TrainConfig` default, the reference recipe.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import json
 import os
 import platform
 import sys
-import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,33 +25,18 @@ import numpy as np
 
 from . import __version__
 from .config import ABLATIONS, ModelConfig
-from .data import downsample, segment
+from .checkpoint import load_model
+from .data import decimation_factor, downsample, segment, window_samples
 from .container import canonical_json, check_entries, require_keys
-from .errors import ConfigurationError, DataFormatError, PatchFormerError
+from .errors import ConfigurationError, DataFormatError, MetricUndefinedError, PatchFormerError
 from .model import param_count
 from .rng import Rng
 from .segio import load_recording_csv, load_segments, save_segments
 from .synth import SynthEffect, check_request, synth_generate
 from .tensor import HEAP_REUSE
 from .train import TrainConfig, evaluate_segments
-from .runners import _run_fold, ablate, run_loso, sweep_configs, sweep_patch_length, sweep_table
+from .runners import _run_fold, run_loso, sweep_configs, sweep_patch_length, sweep_table
 from .verify import THRESHOLD, full_model_grad_check, op_grad_checks
-
-
-@dataclass
-class RunManifest:
-    command: str
-    argv: list
-    seed: int
-    config: dict
-    artifacts: dict
-    tool_version: str
-    timestamp: str
-    environment: dict
-
-    def write(self, path: Path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True))
 
 
 def _emit(obj, file=None):
@@ -74,8 +59,6 @@ def _int_entry(entry: str, flag: str, position, text: str) -> int:
 
 
 def _parse_graphs(text):
-    if text is None:
-        return None
     return [[_int_entry(ch, "--graphs", f"{i} of group {g}", text)
              for i, ch in enumerate(group.split(","), 1) if ch != ""]
             for g, group in enumerate(text.split(";"), 1)]
@@ -99,53 +82,52 @@ def _add_print_config(p):
 
 
 def _add_model_flags(p, ablation=True):
-    g = p.add_argument_group("model")
-    g.add_argument("--k", type=int, default=32, help="CNN kernel count")
-    g.add_argument("--kernel-len", type=int, default=None,
+    g = p.add_argument_group("model", argument_default=argparse.SUPPRESS)
+    g.add_argument("--k", type=int, help="CNN kernel count")
+    g.add_argument("--kernel-len", dest="temporal_kernel_len", type=int,
                    help="temporal kernel length (default: round(0.5 * f_s))")
-    g.add_argument("--lt", type=int, default=20, help="temporal patch length")
-    g.add_argument("--lstep", type=int, default=5, help="temporal patch step")
-    g.add_argument("--ltoken", type=int, default=32, help="token dimension")
-    g.add_argument("--nhead", type=int, default=32, help="attention heads")
-    g.add_argument("--layers", type=int, default=4, help="transformer layers")
-    g.add_argument("--ffn-mult", type=int, default=4, help="feed-forward width multiplier")
-    g.add_argument("--dropout", type=float, default=0.5)
-    g.add_argument("--no-pos", action="store_true", help="disable positional embeddings")
+    g.add_argument("--lt", dest="l_t", type=int, help="temporal patch length")
+    g.add_argument("--lstep", dest="l_step", type=int, help="temporal patch step")
+    g.add_argument("--ltoken", dest="l_token", type=int, help="token dimension")
+    g.add_argument("--nhead", dest="n_head", type=int, help="attention heads")
+    g.add_argument("--layers", dest="n_layers", type=int, help="transformer layers")
+    g.add_argument("--ffn-mult", type=int, help="feed-forward width multiplier")
+    g.add_argument("--dropout", dest="dropout_p", type=float)
+    g.add_argument("--no-pos", dest="positional_embedding", action="store_false",
+                   help="disable positional embeddings")
     if ablation:
-        g.add_argument("--ablation", choices=ABLATIONS, default="full")
-    g.add_argument("--graphs", type=str, default=None,
+        g.add_argument("--ablation", choices=ABLATIONS)
+    g.add_argument("--graphs", dest="local_graphs", type=str,
                    help="local channel groups as index lists, e.g. '0,1;2,3;4,5'")
 
 
 def _add_train_flags(p):
-    g = p.add_argument_group("training")
-    g.add_argument("--epochs", type=int, default=200)
-    g.add_argument("--batch-size", type=int, default=64)
-    g.add_argument("--lr", type=float, default=1e-3)
-    g.add_argument("--weight-decay", type=float, default=1e-5)
-    g.add_argument("--eta-min", type=float, default=0.0)
-    g.add_argument("--decoupled-wd", action="store_true",
+    g = p.add_argument_group("training", argument_default=argparse.SUPPRESS)
+    g.add_argument("--epochs", type=int)
+    g.add_argument("--batch-size", type=int)
+    g.add_argument("--lr", dest="lr0", type=float)
+    g.add_argument("--weight-decay", type=float)
+    g.add_argument("--eta-min", type=float)
+    g.add_argument("--decoupled-wd", dest="decoupled_decay", action="store_true",
                    help="decoupled weight decay instead of L2-in-gradient")
 
 
+def _given(args, cls) -> dict:
+    """The fields of config class `cls` that `args` sets. Model and training
+    flags have no argparse default, so one not given sets nothing and its
+    field keeps the dataclass default."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
 def _model_config(args, ds) -> ModelConfig:
-    return ModelConfig(
-        c=ds.c, l=ds.l, f_s=ds.f_s,
-        k=args.k, temporal_kernel_len=args.kernel_len,
-        local_graphs=_parse_graphs(args.graphs),
-        l_t=args.lt, l_step=args.lstep, l_token=args.ltoken,
-        n_head=args.nhead, n_layers=args.layers, ffn_mult=args.ffn_mult,
-        dropout_p=args.dropout, positional_embedding=not args.no_pos,
-        ablation=args.ablation,
-    ).validate()
+    given = _given(args, ModelConfig)
+    if "local_graphs" in given:
+        given["local_graphs"] = _parse_graphs(given["local_graphs"])
+    return ModelConfig(c=ds.c, l=ds.l, f_s=ds.f_s, **given).validate()
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        lr0=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
-        batch_size=args.batch_size, eta_min=args.eta_min, seed=args.seed,
-        decoupled_decay=args.decoupled_wd,
-    ).validate()
+    return TrainConfig(**_given(args, TrainConfig)).validate()
 
 
 # BLAS and OpenMP thread variables; recorded in manifests, never set
@@ -164,17 +146,25 @@ def environment() -> dict:
     }
 
 
-def _manifest(args, command: str, config: dict, artifacts: dict) -> RunManifest:
-    return RunManifest(
-        command=command,
-        argv=list(args._argv),
-        seed=getattr(args, "seed", 0),
-        config=config,
-        artifacts={k: str(v) for k, v in artifacts.items()},
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        environment=environment(),
-    )
+def _start(args, config: dict, artifacts: dict, manifest_path: Path) -> bool:
+    """Begin a run: under --print-config emit `config` and return False;
+    otherwise write the run's manifest and return True."""
+    if args.print_config:
+        _emit(config)
+        return False
+    manifest = {
+        "command": args.command,
+        "argv": list(args._argv),
+        "seed": args.seed,
+        "config": config,
+        "artifacts": {k: str(v) for k, v in artifacts.items()},
+        "tool_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "environment": environment(),
+    }
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    return True
 
 
 # -- subcommands ------------------------------------------------------------
@@ -186,7 +176,7 @@ def cmd_synth(args) -> int:
         channels=_parse_channels(args.effect_channels),
         gain_jitter=args.jitter, noise_scale=args.noise_scale,
     )
-    check_request(args.subjects, args.per_class, args.channels, args.length, effect)
+    check_request(args.subjects, args.per_class, args.channels, args.length, args.fs, effect)
     config = {
         "data": {
             "n_subjects": args.subjects, "segs_per_class": args.per_class,
@@ -195,12 +185,9 @@ def cmd_synth(args) -> int:
         },
         "seed": args.seed,
     }
-    if args.print_config:
-        _emit(config)
-        return 0
     out = Path(args.out)
-    manifest = _manifest(args, "synth", config, {"segments": out})
-    manifest.write(out.with_name(out.name + ".manifest.json"))
+    if not _start(args, config, {"segments": out}, out.with_name(out.name + ".manifest.json")):
+        return 0
     ds = synth_generate(args.subjects, args.per_class, args.channels, args.length,
                         args.fs, effect, Rng(args.seed))
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -211,6 +198,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    decimation_factor(args.fs, args.target_fs)
+    window_samples(args.target_fs, args.win, args.overlap, args.keep)
     config = {
         "data": {
             "input": args.input, "target_fs": args.target_fs, "win_s": args.win,
@@ -219,13 +208,9 @@ def cmd_preprocess(args) -> int:
         },
         "seed": args.seed,
     }
-    if args.print_config:
-        _emit(config)
-        return 0
     out = Path(args.out)
-    _manifest(args, "preprocess", config, {"segments": out}).write(
-        out.with_name(out.name + ".manifest.json"))
-
+    if not _start(args, config, {"segments": out}, out.with_name(out.name + ".manifest.json")):
+        return 0
     if args.input.endswith(".csv"):
         rec = load_recording_csv(args.input, f_s=args.fs, subject_id=args.subject,
                                  task_label=args.label, task_onset=args.onset,
@@ -242,9 +227,11 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _resolve_run(args, lengths=()):
-    """Load the data and resolve the configs of a run. Every input the run
-    could not start with is rejected here, before a manifest is written."""
+def _begin_run(args, artifacts: dict, lengths=None):
+    """Load the data, resolve the run's configs and start it with `_start`;
+    `artifacts` names files under --out. Every input the run could not start
+    with is rejected first, so no manifest names a run that cannot happen.
+    Returns (ds, mc, tc, out), or None under --print-config."""
     parallel_folds = getattr(args, "parallel_folds", 1)
     if parallel_folds < 1:
         raise ConfigurationError(f"--parallel-folds must be at least 1, got {parallel_folds}")
@@ -255,32 +242,31 @@ def _resolve_run(args, lengths=()):
     if subject is not None and subject not in ds.subjects:
         raise ConfigurationError(f"--test-subject {subject!r} is not a subject of {args.data}; "
                                  f"it holds {ds.subjects}")
-    sweep_configs(mc, lengths)
-    return ds, mc, tc
+    config = {"model": mc.to_dict(), "train": tc.to_dict(), "seed": args.seed}
+    if lengths is not None:
+        sweep_configs(mc, lengths)
+        config["lengths"] = lengths
+    out = Path(args.out)
+    if not _start(args, config, {k: out / name for k, name in artifacts.items()},
+                  out / "manifest.json"):
+        return None
+    return ds, mc, tc, out
 
 
 def cmd_train(args) -> int:
-    ds, mc, tc = _resolve_run(args)
-    config = {"model": mc.to_dict(), "train": tc.to_dict(), "seed": args.seed}
-    if args.print_config:
-        _emit(config)
+    run = _begin_run(args, {"checkpoint": "checkpoint.ckpt", "history": "history.json"})
+    if run is None:
         return 0
-    out = Path(args.out)
-    artifacts = {"checkpoint": out / "checkpoint.ckpt", "history": out / "history.json"}
-    _manifest(args, "train", config, artifacts).write(out / "manifest.json")
-
-    row, history = _run_fold(ds, mc, tc, args.test_subject, artifacts["checkpoint"],
+    ds, mc, tc, out = run
+    row, history = _run_fold(ds, mc, tc, args.test_subject, out / "checkpoint.ckpt",
                              log_fn=None if args.quiet else _emit)
-    artifacts["history"].write_text(json.dumps(history, indent=2))
+    (out / "history.json").write_text(json.dumps(history, indent=2))
     _emit({"event": "test", "subject": row.subject, "best_epoch": row.best_epoch,
            "acc": row.acc, "auc": row.auc, "macro_f1": row.macro_f1})
     return 0
 
 
 def cmd_eval(args) -> int:
-    from .checkpoint import load_model
-    from .errors import MetricUndefinedError
-
     model = load_model(args.checkpoint)
     ds = load_segments(args.data)
     if args.subject is not None:
@@ -310,15 +296,11 @@ def _write_report(report, out: Path, name: str = "report"):
 
 
 def cmd_loso(args) -> int:
-    ds, mc, tc = _resolve_run(args)
-    config = {"model": mc.to_dict(), "train": tc.to_dict(), "seed": args.seed}
-    if args.print_config:
-        _emit(config)
+    """`loso`, and `ablate`, whose --variant is the model's ablation."""
+    run = _begin_run(args, {"report_json": "report.json", "report_csv": "report.csv"})
+    if run is None:
         return 0
-    out = Path(args.out)
-    _manifest(args, "loso", config,
-              {"report_json": out / "report.json", "report_csv": out / "report.csv"}
-              ).write(out / "manifest.json")
+    ds, mc, tc, out = run
     report = run_loso(ds, mc, tc, parallel_folds=args.parallel_folds, out_dir=out,
                       log_fn=None if args.quiet else _emit)
     _write_report(report, out)
@@ -327,34 +309,13 @@ def cmd_loso(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    ds, mc, tc = _resolve_run(args)
-    config = {"model": mc.to_dict(), "train": tc.to_dict(), "seed": args.seed,
-              "variant": args.ablation}
-    if args.print_config:
-        _emit(config)
-        return 0
-    out = Path(args.out)
-    _manifest(args, "ablate", config, {"report_json": out / "report.json"}).write(
-        out / "manifest.json")
-    report = ablate(ds, mc, tc, args.ablation, parallel_folds=args.parallel_folds,
-                    out_dir=out, log_fn=None if args.quiet else _emit)
-    _write_report(report, out)
-    _emit({"event": "ablate_done", "variant": args.ablation, "summary": report.summary()})
-    return 0
-
-
 def cmd_sweep(args) -> int:
     lengths = [_int_entry(entry, "--lengths", i, args.lengths)
                for i, entry in enumerate(args.lengths.split(","), 1)]
-    ds, mc, tc = _resolve_run(args, lengths)
-    config = {"model": mc.to_dict(), "train": tc.to_dict(), "seed": args.seed,
-              "lengths": lengths}
-    if args.print_config:
-        _emit(config)
+    run = _begin_run(args, {"table": "sweep.csv"}, lengths)
+    if run is None:
         return 0
-    out = Path(args.out)
-    _manifest(args, "sweep", config, {"table": out / "sweep.csv"}).write(out / "manifest.json")
+    ds, mc, tc, out = run
     reports = sweep_patch_length(ds, mc, tc, lengths, parallel_folds=args.parallel_folds,
                                  log_fn=None if args.quiet else _emit)
     out.mkdir(parents=True, exist_ok=True)
@@ -471,10 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser("loso", "full leave-one-subject-out evaluation").set_defaults(func=cmd_loso)
 
     p = run_parser("ablate", "LOSO with one component disabled", ablation=False)
-    # the variant is the model's ablation, so the resolved config names what runs
+    # the variant is the model's ablation, so ablate is a loso of that model
     p.add_argument("--variant", dest="ablation", required=True,
                    choices=[a for a in ABLATIONS if a != "full"])
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_loso)
 
     p = run_parser("sweep", "LOSO across temporal patch lengths")
     p.add_argument("--lengths", type=str, default="10,20,30,40,50")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigurationError, ShapeError
 from .rng import Rng
 
 
@@ -96,21 +96,6 @@ class SegmentSet:
             self.f_s, list(self.channel_names), dict(self.metadata),
         )
 
-    @staticmethod
-    def concatenate(sets: list) -> "SegmentSet":
-        if not sets:
-            raise ValueError("cannot concatenate zero segment sets")
-        first = sets[0]
-        for s in sets[1:]:
-            if s.channel_names != first.channel_names or s.f_s != first.f_s:
-                raise ValueError("segment sets disagree on channels or sampling rate")
-        return SegmentSet(
-            np.concatenate([s.X for s in sets]),
-            np.concatenate([s.y for s in sets]),
-            np.concatenate([s.subject_ids for s in sets]),
-            first.f_s, list(first.channel_names), dict(first.metadata),
-        )
-
 
 @dataclass
 class LosoFold:
@@ -122,16 +107,50 @@ class LosoFold:
     test: SegmentSet
 
 
+def _finite_positive(name: str, value: float) -> None:
+    if not 0 < value < float("inf"):
+        raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+
+
+def decimation_factor(f_s: float, target_fs: float) -> int:
+    """The integer factor taking `f_s` down to `target_fs`; a
+    ConfigurationError names the rates otherwise."""
+    _finite_positive("sampling rate", f_s)
+    _finite_positive("target sampling rate", target_fs)
+    ratio = f_s / target_fs
+    factor = int(round(ratio))
+    if abs(ratio - factor) > 1e-9 or factor < 1:
+        raise ConfigurationError(f"sampling rate {f_s} is not an integer multiple of {target_fs}")
+    return factor
+
+
+def window_samples(f_s: float, win_s: float, overlap: float, keep_s: float) -> tuple:
+    """Window length, window step and kept length in samples at `f_s`; a
+    ConfigurationError names a value that gives none."""
+    _finite_positive("sampling rate", f_s)
+    _finite_positive("window length", win_s)
+    l_f = win_s * f_s
+    l = int(round(l_f))
+    if abs(l_f - l) > 1e-9 or l < 1:
+        raise ConfigurationError(f"window of {win_s}s at {f_s}Hz is not an integer sample count")
+    if not 0.0 <= overlap < 1.0:
+        raise ConfigurationError(f"overlap must be in [0, 1), got {overlap}")
+    step_f = l * (1.0 - overlap)
+    step = int(round(step_f))
+    if abs(step_f - step) > 1e-9 or step < 1:
+        raise ConfigurationError(f"overlap {overlap} gives a non-integer step for window {l}")
+    if not 0 <= keep_s < float("inf"):
+        raise ConfigurationError(f"kept length must be finite and >= 0 seconds, got {keep_s}")
+    return l, step, int(round(keep_s * f_s))
+
+
 def downsample(r: Recording, target_fs: float) -> Recording:
     """Integer decimation after a moving-average anti-alias filter.
 
     Implemented as a block mean over each group of `factor` samples, which is
     the length-`factor` moving average evaluated at the decimation points.
     """
-    ratio = r.f_s / target_fs
-    factor = int(round(ratio))
-    if abs(ratio - factor) > 1e-9 or factor < 1:
-        raise ValueError(f"sampling rate {r.f_s} is not an integer multiple of {target_fs}")
+    factor = decimation_factor(r.f_s, target_fs)
     if factor == 1:
         return r
     n_out = r.n_samples // factor
@@ -154,19 +173,9 @@ def segment(r: Recording, win_s: float = 4.0, overlap: float = 0.5,
     Window length l = win_s * f_s, step l * (1 - overlap); both must come out
     integral. Every window inherits the recording's label and subject id.
     """
-    l_f = win_s * r.f_s
-    l = int(round(l_f))
-    if abs(l_f - l) > 1e-9 or l < 1:
-        raise ValueError(f"window of {win_s}s at {r.f_s}Hz is not an integer sample count")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError(f"overlap must be in [0, 1), got {overlap}")
-    step_f = l * (1.0 - overlap)
-    step = int(round(step_f))
-    if abs(step_f - step) > 1e-9 or step < 1:
-        raise ValueError(f"overlap {overlap} gives a non-integer step for window {l}")
-
+    l, step, keep = window_samples(r.f_s, win_s, overlap, keep_s)
     start = r.task_onset
-    end = min(start + int(round(keep_s * r.f_s)), r.task_offset, r.n_samples)
+    end = min(start + keep, r.task_offset, r.n_samples)
     available = end - start
     if available < l:
         warnings.warn(

@@ -44,13 +44,18 @@ def _pink_noise(rng: Rng, c: int, l: int) -> np.ndarray:
     return signal / (signal.std(axis=1, keepdims=True) + 1e-12)
 
 
-def check_request(n_subjects: int, segs_per_class: int, c: int, l: int,
+def check_request(n_subjects: int, segs_per_class: int, c: int, l: int, f_s: float,
                   effect: SynthEffect) -> list:
     """The effect's channels of a request `synth_generate` can serve; a
     ConfigurationError names what it cannot."""
     if n_subjects < 1 or segs_per_class < 1 or c < 1 or l < 1:
         raise ConfigurationError("n_subjects, segs_per_class, c and l must all be >= 1, "
                                  f"got {n_subjects}, {segs_per_class}, {c}, {l}")
+    if not 0 < f_s < float("inf"):
+        raise ConfigurationError(f"sampling rate f_s must be finite and positive, got {f_s}")
+    for name in ("freq_hz", "amplitude", "gain_jitter", "noise_scale"):
+        if not np.isfinite(getattr(effect, name)):
+            raise ConfigurationError(f"effect {name} must be finite, got {getattr(effect, name)}")
     target = effect.resolve_channels(c)
     if any(not 0 <= ch < c for ch in target):
         raise ConfigurationError(f"effect channels {target} out of range for c={c}")
@@ -63,7 +68,7 @@ def synth_generate(n_subjects: int, segs_per_class: int, c: int, l: int,
     """Balanced labeled segments for n_subjects; deterministic given the seed."""
     effect = effect or SynthEffect()
     rng = rng or Rng(0)
-    target = check_request(n_subjects, segs_per_class, c, l, effect)
+    target = check_request(n_subjects, segs_per_class, c, l, f_s, effect)
 
     n = n_subjects * segs_per_class * 2
     X = np.empty((n, c, l), dtype=np.float64)

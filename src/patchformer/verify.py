@@ -19,7 +19,6 @@ from .tensor import (
     Tensor,
     avg_pool_time,
     batch_norm,
-    concat,
     conv_spatial,
     conv_temporal,
     dropout,

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from patchformer.cli import THREAD_VARS, main
+from patchformer.config import ABLATIONS, ModelConfig
 from patchformer.segio import load_segments
 from patchformer.tensor import HEAP_REUSE
+from patchformer.train import TrainConfig
 
 TOY_MODEL = ["--k", "4", "--lt", "4", "--lstep", "2", "--ltoken", "8",
              "--nhead", "2", "--layers", "1", "--dropout", "0.1",
@@ -89,7 +91,14 @@ class TestSynth:
         ({"subjects": 0}, "got 0, 6, 4, 64"),
         ({"channels": 6, "effect-channels": "0,9"}, "[0, 9] out of range for c=6"),
         ({"effect-channels": "0,x"}, "--effect-channels entry 2 ('x') of '0,x'"),
-    ], ids=["no-subjects", "channel-out-of-range", "channel-not-integer"])
+        ({"fs": 0}, "got 0.0"), ({"fs": -5}, "got -5.0"), ({"fs": "inf"}, "got inf"),
+        ({"freq": "nan"}, "freq_hz must be finite, got nan"),
+        ({"amplitude": "inf"}, "amplitude must be finite, got inf"),
+        ({"jitter": "nan"}, "gain_jitter must be finite, got nan"),
+        ({"noise-scale": "inf"}, "noise_scale must be finite, got inf"),
+    ], ids=["no-subjects", "channel-out-of-range", "channel-not-integer", "fs-zero",
+            "fs-negative", "fs-inf", "freq-nan", "amplitude-inf", "jitter-nan",
+            "noise-scale-inf"])
     def test_unservable_request_rejected_before_manifest(self, tmp_path, capsys,
                                                          overrides, named):
         out = tmp_path / "s.seg"
@@ -127,6 +136,26 @@ class TestPreprocess:
         out = tmp_path / "copy.seg"
         assert main(["preprocess", "--input", str(toy_seg), "--out", str(out)]) == 0
         assert load_segments(out).n == load_segments(toy_seg).n
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--target-fs", "0"], "target sampling rate must be finite and positive, got 0.0"),
+        (["--target-fs", "-250"], "got -250.0"),
+        (["--target-fs", "300"], "1000.0 is not an integer multiple of 300.0"),
+        (["--fs", "nan"], "sampling rate must be finite and positive, got nan"),
+        (["--win", "0"], "window length must be finite and positive, got 0.0"),
+        (["--win", "0.001"], "window of 0.001s at 250.0Hz"),
+        (["--overlap", "1"], "overlap must be in [0, 1), got 1.0"),
+        (["--keep", "nan"], "got nan"),
+    ], ids=["target-fs-zero", "target-fs-negative", "target-fs-not-a-divisor", "fs-nan",
+            "win-zero", "win-below-one-sample", "overlap-one", "keep-nan"])
+    def test_unservable_request_rejected_before_manifest(self, tmp_path, capsys, flags, named):
+        csv_path = tmp_path / "rec.csv"
+        csv_path.write_text("A,B\n" + "".join(f"{i},{i + 1}\n" for i in range(48)))
+        assert main(["preprocess", "--input", str(csv_path),
+                     "--out", str(tmp_path / "p.seg"), *flags]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.csv"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigurationError" and named in err["message"]
 
 
 class TestRuns:
@@ -202,6 +231,11 @@ class TestRuns:
         assert main(["ablate", "--data", str(toy_seg), "--out", str(out),
                      "--variant", "no_overlap", "--quiet", *TOY_MODEL, *TOY_TRAIN]) == 0
         assert json.loads((out / "report.json").read_text())["label"] == "no_overlap"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "ablate"
+        assert manifest["artifacts"] == {"report_json": str(out / "report.json"),
+                                         "report_csv": str(out / "report.csv")}
+        assert (out / "report.csv").exists()
 
         out2 = tmp_path / "sw"
         assert main(["sweep", "--data", str(toy_seg), "--out", str(out2),
@@ -262,7 +296,29 @@ class TestRuns:
         assert main(["ablate", "--data", str(toy_seg), "--out", str(tmp_path / "x"),
                      "--variant", "no_fem", "--print-config", *TOY_MODEL, *TOY_TRAIN]) == 0
         config = json.loads(capsys.readouterr().out.strip())
-        assert config["model"]["ablation"] == "no_fem" and config["variant"] == "no_fem"
+        assert config["model"]["ablation"] == "no_fem"
+
+    @pytest.mark.parametrize("variant", [a for a in ABLATIONS if a != "full"])
+    def test_ablate_resolves_the_config_loso_does(self, toy_seg, tmp_path, capsys, variant):
+        flags = ["--data", str(toy_seg), "--out", str(tmp_path / "x"), "--print-config",
+                 *TOY_MODEL, *TOY_TRAIN]
+        assert main(["ablate", "--variant", variant, *flags]) == 0
+        ablate_out = capsys.readouterr().out
+        assert main(["loso", "--ablation", variant, *flags]) == 0
+        assert capsys.readouterr().out == ablate_out
+        assert not (tmp_path / "x").exists()
+
+    def test_flag_defaults_are_the_config_defaults(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("PATCHFORMER_SEED", raising=False)
+        data = tmp_path / "long.seg"  # long enough for the default patch length
+        assert main(synth_args(data, length=160)) == 0
+        ds = load_segments(data)
+        capsys.readouterr()
+        assert main(["loso", "--data", str(data), "--out", str(tmp_path / "x"),
+                     "--print-config"]) == 0
+        config = json.loads(capsys.readouterr().out.strip())
+        assert config == {"model": ModelConfig(ds.c, ds.l, ds.f_s).to_dict(),
+                          "train": TrainConfig(seed=0).to_dict(), "seed": 0}
 
     def test_train_writes_the_loso_fold_checkpoint(self, toy_seg, tmp_path):
         flags = ["--data", str(toy_seg), "--quiet", *TOY_MODEL, *TOY_TRAIN]
