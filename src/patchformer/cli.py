@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import ABLATIONS, ModelConfig
 from .checkpoint import load_model
-from .data import decimation_factor, downsample, segment, window_samples
+from .data import check_segmentable, decimation_factor, downsample, segment, window_samples
 from .container import canonical_json, check_entries, require_keys
 from .errors import ConfigurationError, DataFormatError, MetricUndefinedError, PatchFormerError
 from .model import param_count
@@ -209,17 +209,19 @@ def cmd_preprocess(args) -> int:
         "seed": args.seed,
     }
     out = Path(args.out)
-    if not _start(args, config, {"segments": out}, out.with_name(out.name + ".manifest.json")):
-        return 0
+    # the input is read and checked before the manifest is written
     if args.input.endswith(".csv"):
         rec = load_recording_csv(args.input, f_s=args.fs, subject_id=args.subject,
                                  task_label=args.label, task_onset=args.onset,
                                  task_offset=args.offset)
         rec = downsample(rec, args.target_fs)
+        check_segmentable(rec, args.win, args.overlap, args.keep)
         ds = segment(rec, win_s=args.win, overlap=args.overlap, keep_s=args.keep)
     else:
         # already-segmented input: validate the container and rewrite it
         ds = load_segments(args.input)
+    if not _start(args, config, {"segments": out}, out.with_name(out.name + ".manifest.json")):
+        return 0
     out.parent.mkdir(parents=True, exist_ok=True)
     save_segments(ds, out)
     _emit({"event": "preprocess", "n": ds.n, "c": ds.c, "l": ds.l,

@@ -31,13 +31,8 @@ class Recording:
             raise ShapeError(
                 f"{len(self.channels)} channel names but {self.samples.shape[0]} sample rows"
             )
-        if self.task_offset is None:
-            self.task_offset = self.samples.shape[1]
-        if not 0 <= self.task_onset <= self.task_offset <= self.samples.shape[1]:
-            raise ValueError(
-                f"onset/offset ({self.task_onset}, {self.task_offset}) out of range "
-                f"for {self.samples.shape[1]} samples"
-            )
+        self.task_offset = resolve_task_offset(self.samples.shape[1], self.task_label,
+                                               self.task_onset, self.task_offset)
 
     @property
     def n_samples(self) -> int:
@@ -124,6 +119,21 @@ def decimation_factor(f_s: float, target_fs: float) -> int:
     return factor
 
 
+def resolve_task_offset(n_samples: int, label: int, onset: int, offset: int | None) -> int:
+    """The task period's offset (None: the recording's end); a
+    ConfigurationError names a label other than 0/1 or an onset/offset
+    outside the recording's `n_samples`."""
+    if label not in (0, 1):
+        raise ConfigurationError(
+            f"task label must be 0 (low attention) or 1 (high attention), got {label}")
+    if offset is None:
+        offset = n_samples
+    if not 0 <= onset <= offset <= n_samples:
+        raise ConfigurationError(
+            f"onset/offset ({onset}, {offset}) out of range for {n_samples} samples")
+    return offset
+
+
 def window_samples(f_s: float, win_s: float, overlap: float, keep_s: float) -> tuple:
     """Window length, window step and kept length in samples at `f_s`; a
     ConfigurationError names a value that gives none."""
@@ -141,7 +151,25 @@ def window_samples(f_s: float, win_s: float, overlap: float, keep_s: float) -> t
         raise ConfigurationError(f"overlap {overlap} gives a non-integer step for window {l}")
     if not 0 <= keep_s < float("inf"):
         raise ConfigurationError(f"kept length must be finite and >= 0 seconds, got {keep_s}")
-    return l, step, int(round(keep_s * f_s))
+    keep = int(round(keep_s * f_s))
+    if keep < l:
+        raise ConfigurationError(
+            f"kept length of {keep_s}s ({keep} samples) is shorter than one window ({l} samples)")
+    return l, step, keep
+
+
+def _usable_samples(r: "Recording", keep: int) -> int:
+    """Samples of the task period within `keep` samples after onset."""
+    return min(r.task_onset + keep, r.task_offset, r.n_samples) - r.task_onset
+
+
+def check_segmentable(r: "Recording", win_s: float, overlap: float, keep_s: float) -> None:
+    """A ConfigurationError when `segment` would cut no window from `r`."""
+    l, _, keep = window_samples(r.f_s, win_s, overlap, keep_s)
+    available = _usable_samples(r, keep)
+    if available < l:
+        raise ConfigurationError(f"recording {r.subject_id}: {available} usable samples "
+                                 f"after onset < window {l}; no segments")
 
 
 def downsample(r: Recording, target_fs: float) -> Recording:
@@ -175,8 +203,7 @@ def segment(r: Recording, win_s: float = 4.0, overlap: float = 0.5,
     """
     l, step, keep = window_samples(r.f_s, win_s, overlap, keep_s)
     start = r.task_onset
-    end = min(start + keep, r.task_offset, r.n_samples)
-    available = end - start
+    available = _usable_samples(r, keep)
     if available < l:
         warnings.warn(
             f"recording {r.subject_id}: {available} usable samples < window {l}; no segments",

@@ -16,6 +16,21 @@ import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+# Chunk widths of the bit-mask path: divisors of 8, so no chunk straddles a byte.
+_CHUNK_BITS = (1, 2, 4, 8)
+
+
+def _dyadic(p: float):
+    """(bits, threshold) with p == threshold / 2**bits for the narrowest chunk
+    width in _CHUNK_BITS, or None when p in [0, 1) needs more than 8 bits."""
+    if not 0.0 <= p < 1.0:
+        return None
+    for bits in _CHUNK_BITS:
+        scaled = p * (1 << bits)
+        if scaled == int(scaled):
+            return bits, int(scaled)
+    return None
+
 
 class Rng:
     """Counter-based deterministic generator keyed by a 64-bit seed."""
@@ -44,16 +59,28 @@ class Rng:
     def keep_mask(self, p_drop: float, shape) -> np.ndarray:
         """Boolean keep-mask where each element survives with prob 1 - p_drop.
 
-        Equal, bit for bit and in the generator state it leaves, to
-        `random(shape, dtype=float32) >= p_drop`. A float32 uniform is
-        `(u >> 8) * 2**-24` of one 32-bit draw u, so comparing the raw draws
-        with `ceil(float32(p_drop) * 2**24) << 8` skips the conversion.
+        A dyadic p_drop = m / 2**r with r <= 8 takes r' bits per element, r'
+        being r rounded up to 1, 2, 4 or 8: `ceil(n * r' / 64)` raw Philox
+        words are read as consecutive little-endian r'-bit chunks, and an
+        element is kept where its chunk is >= p_drop * 2**r'. The mask is the
+        unpacked array itself. This path leaves alone the half-word that an
+        earlier odd float32 draw may have buffered; the next float32 draw
+        still starts with it.
+
+        Any other p_drop is equal, bit for bit and in the generator state it
+        leaves, to `random(shape, dtype=float32) >= p_drop`. A float32 uniform
+        is `(u >> 8) * 2**-24` of one 32-bit draw u, so comparing the raw
+        draws with `ceil(float32(p_drop) * 2**24) << 8` skips the conversion.
         """
+        shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+        n = math.prod(shape)
+        if n == 0:
+            return np.empty(shape, dtype=bool)
+        dyadic = _dyadic(float(p_drop))
+        if dyadic is not None:
+            return self._bit_mask(*dyadic, n).reshape(shape)
         keep = np.empty(shape, dtype=bool)
         flat = keep.reshape(-1)
-        n = flat.size
-        if n == 0:
-            return keep
         steps = math.ceil(float(np.float32(p_drop)) * 2**24)
         threshold = min(max(steps, 0), 1 << 24) << 8  # 2**32 keeps nothing
         bitgen = self._gen.bit_generator
@@ -70,6 +97,25 @@ class Rng:
         if (n - head) % 2:
             flat[-1] = int(self._gen.integers(0, 2**32, dtype=np.uint32)) >= threshold
         return keep
+
+    def _bit_mask(self, bits: int, threshold: int, n: int) -> np.ndarray:
+        """Flat keep-mask of n elements from `bits`-bit chunks of raw words."""
+        words = self._gen.bit_generator.random_raw(-(-n * bits // 64))
+        octets = words.astype("<u8", copy=False).view(np.uint8)
+        if bits == 1:
+            chunks = np.unpackbits(octets, count=n, bitorder="little")
+            if threshold == 1:  # the bits are the mask
+                return chunks.view(bool)
+        elif bits == 8:
+            chunks = octets[:n]
+        else:
+            per = 8 // bits
+            chunks = np.empty((octets.size, per), dtype=np.uint8)
+            for j in range(per):
+                np.right_shift(octets, j * bits, out=chunks[:, j])
+            chunks &= (1 << bits) - 1
+            chunks = chunks.reshape(-1)[:n]
+        return np.greater_equal(chunks, threshold, out=chunks.view(bool))
 
     def __repr__(self):
         return f"Rng(seed={self.seed})"

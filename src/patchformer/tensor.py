@@ -80,7 +80,8 @@ _COLUMN_BYTES = 32 << 20
 
 # Cap on the score block of the no-graph attention core: (batch, head) slices
 # are scored, normalized and applied to v in groups whose S x S scores fit
-# this many bytes, so each group's passes stay in a per-core L2 cache.
+# this many bytes, so each group's passes stay in a per-core L2 cache. The
+# recorded softmax walks its rows in blocks of the same size.
 _SCORE_BYTES = 1 << 20
 
 
@@ -103,6 +104,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if keep:
         grad = grad.sum(axis=keep, keepdims=True)
     return grad.reshape(shape)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for operands of at least 2 axes. When the contracted axis has
+    length 1 the product is an outer product: one multiply per element, as
+    matmul computes it, so the values are equal (an exact-zero product may
+    keep a sign matmul drops). order="C" keeps the result contiguous even
+    when the operands are transposed views."""
+    if a.shape[-1] == 1 and b.shape[-2] == 1:
+        return np.multiply(a, b, order="C")
+    return a @ b
 
 
 class Tensor:
@@ -208,14 +220,14 @@ class Tensor:
         other = self._coerce(other)
         if self.ndim < 2 or other.ndim < 2:
             raise ShapeError("matmul operands must have at least 2 axes")
-        data = self.data @ other.data
+        data = _matmul(self.data, other.data)
 
         def bw(g):
             ga = gb = None
             if self.requires_grad:
-                ga = _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape)
+                ga = _unbroadcast(_matmul(g, np.swapaxes(other.data, -1, -2)), self.shape)
             if other.requires_grad:
-                gb = _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape)
+                gb = _unbroadcast(_matmul(np.swapaxes(self.data, -1, -2), g), other.shape)
             return ga, gb
 
         return Tensor._from_op(data, (self, other), bw)
@@ -401,15 +413,57 @@ def _softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None,
     return y
 
 
+def _row_blocks(rows: int, row_bytes: int) -> list:
+    """Slices of `rows` rows whose blocks of `row_bytes` per row fit in
+    _SCORE_BYTES (at least one row each)."""
+    step = max(1, _SCORE_BYTES // row_bytes)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along one axis (max subtraction before exponentiation)."""
-    y = _softmax(x.data, axis)
+    """Stable softmax along one axis (max subtraction before exponentiation).
+
+    Over the last axis of a C-contiguous input, forward and backward walk
+    blocks of rows whose arrays (input and output; cotangent, output, one
+    reused buffer and gradient) fit in _SCORE_BYTES together, so each row's
+    passes stay in cache and backward makes no full-size temporary. The
+    per-row operations are those of the whole-array formulas, so the values
+    are bit-identical to them; other inputs use those formulas.
+    """
+    a = x.data
+    blocked = a.ndim > 0 and a.size > 0 and a.flags.c_contiguous and axis in (-1, a.ndim - 1)
+    if blocked:
+        width = a.shape[-1]
+        y = np.empty_like(a)
+        rows, y_rows = a.reshape(-1, width), y.reshape(-1, width)
+        for block in _row_blocks(len(rows), 2 * width * a.itemsize):
+            _softmax(rows[block], -1, out=y_rows[block])
+    else:
+        y = _softmax(a, axis)
 
     def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - dot) * y,)
+        if not (blocked and g.flags.c_contiguous):
+            dot = (g * y).sum(axis=axis, keepdims=True)
+            return ((g - dot) * y,)
+        return (_softmax_grad_rows(g, y),)
 
     return Tensor._from_op(y, (x,), bw)
+
+
+def _softmax_grad_rows(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`(g - (g * y).sum(-1, keepdims=True)) * y` for C-contiguous g and y,
+    one block of rows at a time through one reused buffer for `g * y`."""
+    width = y.shape[-1]
+    g_rows, y_rows = g.reshape(-1, width), y.reshape(-1, width)
+    dx = np.empty(g_rows.shape, dtype=np.result_type(g, y))
+    blocks = _row_blocks(len(dx), 4 * width * dx.itemsize)
+    buf = np.empty((len(dx[blocks[0]]), width), dtype=dx.dtype)
+    for block in blocks:
+        g_block, y_block = g_rows[block], y_rows[block]
+        gy = np.multiply(g_block, y_block, out=buf[:len(g_block)])
+        np.subtract(g_block, gy.sum(axis=-1, keepdims=True), out=dx[block])
+        dx[block] *= y_block
+    return dx.reshape(g.shape)
 
 
 def _check_dropout(p: float, mode: str) -> None:
@@ -426,8 +480,8 @@ def dropout(x: Tensor, p: float, rng=None, mode: str = "train") -> Tensor:
         return x
     if rng is None:
         raise ValueError("train-mode dropout needs an Rng")
-    factor = rng.keep_mask(p, x.shape).astype(x.data.dtype)
-    factor *= x.data.dtype.type(1.0 / (1.0 - p))
+    dtype = x.data.dtype
+    factor = np.multiply(rng.keep_mask(p, x.shape), dtype.type(1.0 / (1.0 - p)), dtype=dtype)
     data = x.data * factor
 
     def bw(g):

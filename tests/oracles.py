@@ -246,3 +246,13 @@ def cross_entropy_composite(logits, labels):
     gx = np.zeros_like(logp)
     np.add.at(gx, (rows, labels), g)              # pick
     return loss, gx - np.exp(logp) * gx.sum(axis=-1, keepdims=True)  # log_softmax
+
+
+def softmax_composite(x, axis, g):
+    """(y, dx) of softmax along `axis` and its backward for cotangent g, as the
+    whole-array formulas written before the row-blocked kernel."""
+    y = x - x.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    dot = (g * y).sum(axis=axis, keepdims=True)
+    return y, (g - dot) * y

@@ -131,6 +131,7 @@ class TestPreprocess:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "DataFormatError"
         assert "offset 0" in err["message"]
+        assert not (tmp_path / "o.seg.manifest.json").exists()
 
     def test_segment_file_revalidated(self, toy_seg, tmp_path):
         out = tmp_path / "copy.seg"
@@ -146,8 +147,18 @@ class TestPreprocess:
         (["--win", "0.001"], "window of 0.001s at 250.0Hz"),
         (["--overlap", "1"], "overlap must be in [0, 1), got 1.0"),
         (["--keep", "nan"], "got nan"),
+        (["--keep", "0"], "kept length of 0.0s (0 samples) is shorter than one window"),
+        (["--fs", "8", "--target-fs", "4", "--win", "2", "--onset", "100"],
+         "onset/offset (100, 48) out of range for 48 samples"),
+        (["--fs", "8", "--target-fs", "4", "--win", "2", "--offset", "49"],
+         "onset/offset (0, 49) out of range for 48 samples"),
+        (["--fs", "8", "--target-fs", "4", "--win", "2", "--label", "2"],
+         "task label must be 0 (low attention) or 1 (high attention), got 2"),
+        (["--fs", "8", "--target-fs", "4", "--win", "2", "--onset", "36"],
+         "recording S01: 6 usable samples after onset < window 8; no segments"),
     ], ids=["target-fs-zero", "target-fs-negative", "target-fs-not-a-divisor", "fs-nan",
-            "win-zero", "win-below-one-sample", "overlap-one", "keep-nan"])
+            "win-zero", "win-below-one-sample", "overlap-one", "keep-nan", "keep-zero",
+            "onset-past-the-end", "offset-past-the-end", "label-two", "shorter-than-a-window"])
     def test_unservable_request_rejected_before_manifest(self, tmp_path, capsys, flags, named):
         csv_path = tmp_path / "rec.csv"
         csv_path.write_text("A,B\n" + "".join(f"{i},{i + 1}\n" for i in range(48)))

@@ -25,13 +25,29 @@ def test_keep_mask_bit_identical():
                                   Rng(9).keep_mask(0.5, (128,)))
 
 
-@given(p=st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.999999]),
-       shape=st.sampled_from([(), (0,), (1,), (7,), (8,), (3, 5), (2, 0, 3), (4, 3, 7)]),
+SHAPES = [(), (0,), (1,), (7,), (8,), (3, 5), (2, 0, 3), (4, 3, 7), (9, 65)]
+
+
+def _same_state(a: dict, b: dict) -> bool:
+    if a.keys() != b.keys():
+        return False
+    for key in a:
+        x, y = a[key], b[key]
+        if isinstance(x, dict):
+            if not (isinstance(y, dict) and _same_state(x, y)):
+                return False
+        elif not np.array_equal(x, y):
+            return False
+    return True
+
+
+@given(p=st.sampled_from([0.1, 0.3, 0.999999]), shape=st.sampled_from(SHAPES),
        before=st.integers(0, 7), seed=st.integers(0, 2**64 - 1))
 @settings(max_examples=150, deadline=None)
 def test_keep_mask_equals_float32_uniforms(p, shape, before, seed):
-    """Raw-word masks equal `random(float32) >= p` and leave the same stream,
-    also after an odd number of float32 draws left a half-word buffered."""
+    """Raw-word masks for a p that is no multiple of 2**-8 equal
+    `random(float32) >= p` and leave the same stream, also after an odd
+    number of float32 draws left a half-word buffered."""
     rng = Rng(seed)
     twin = np.random.Generator(np.random.Philox(key=rng.seed))
     rng._gen.random(before, dtype=np.float32)
@@ -40,6 +56,40 @@ def test_keep_mask_equals_float32_uniforms(p, shape, before, seed):
     expected = twin.random(shape, dtype=np.float32) >= p
     assert mask.dtype == np.bool_ and mask.shape == np.shape(expected)
     np.testing.assert_array_equal(mask, expected)
+    np.testing.assert_array_equal(rng._gen.random(9, dtype=np.float32),
+                                  twin.random(9, dtype=np.float32))
+
+
+def _bit_chunk_mask(bitgen, p, shape):
+    """Keep-mask of a dyadic p built one element at a time from raw words:
+    element i reads bits [i*r, (i+1)*r) of the words taken as one
+    little-endian bit string, r being the narrowest of 1, 2, 4, 8 bits with
+    p * 2**r whole, and is kept where that chunk is >= p * 2**r."""
+    r = next(r for r in (1, 2, 4, 8) if (p * 2**r).is_integer())
+    n = math.prod(shape)
+    if n == 0:
+        return np.zeros(shape, dtype=bool)
+    words = [int(w) for w in bitgen.random_raw(math.ceil(n * r / 64))]
+    keep = [(words[i * r // 64] >> (i * r % 64)) & (2**r - 1) >= p * 2**r for i in range(n)]
+    return np.array(keep, dtype=bool).reshape(shape)
+
+
+@given(p=st.sampled_from([0.5, 0.25, 0.125, 0.75, 3 / 256]), shape=st.sampled_from(SHAPES),
+       before=st.integers(0, 7), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_dyadic_keep_mask_equals_the_bit_chunk_reference(p, shape, before, seed):
+    """A dyadic p reads r-bit chunks of raw words and leaves the generator as
+    a twin that drew the same words, a half-word buffered before the draw
+    (odd `before`) included: the next float32 draw still starts with it."""
+    rng = Rng(seed)
+    twin = np.random.Generator(np.random.Philox(key=rng.seed))
+    rng._gen.random(before, dtype=np.float32)
+    twin.random(before, dtype=np.float32)
+    mask = rng.keep_mask(p, shape)
+    expected = _bit_chunk_mask(twin.bit_generator, p, shape)
+    assert mask.dtype == np.bool_ and mask.shape == expected.shape
+    np.testing.assert_array_equal(mask, expected)
+    assert _same_state(rng._gen.bit_generator.state, twin.bit_generator.state)
     np.testing.assert_array_equal(rng._gen.random(9, dtype=np.float32),
                                   twin.random(9, dtype=np.float32))
 
@@ -59,7 +109,7 @@ def test_spawn_labels_independent():
                               r.spawn("b").uniform(0, 1, 32))
 
 
-@pytest.mark.parametrize("p", [0.25, 0.5])
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.125, 3 / 256, 0.1])
 def test_keep_mask_type_and_rate(p):
     mask = Rng(5).keep_mask(p, (1000, 1000))
     assert mask.dtype == np.bool_ and mask.shape == (1000, 1000)

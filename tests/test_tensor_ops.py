@@ -280,6 +280,123 @@ class TestSoftmax:
         assert abs(out.sum() - 1.0) < 1e-6
         assert (out > 0).all()
 
+    @staticmethod
+    def _forward_backward(x, axis, g):
+        out = softmax(Tensor(x, requires_grad=True), axis)
+        (dx,) = out._backward(g)
+        return out.data, dx
+
+    @staticmethod
+    def _assert_bit_identical(got, want):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows_per_block", [1000, 1, 7, 8],
+                             ids=["one-block", "row-blocks", "even-blocks", "partial-last"])
+    def test_row_blocks_are_bit_identical_to_the_whole_array_formulas(
+            self, monkeypatch, dtype, rows_per_block):
+        # 105 rows of 13. Backward blocks hold four arrays, so they get
+        # rows_per_block rows: 7 divide 105 evenly, 8 leave a last block of 1.
+        # Forward blocks hold two and get twice as many: 14 and 16 leave one.
+        x = _signed_values(dtype, (3, 5, 7, 13), 5) * dtype(4)
+        g = _signed_values(dtype, x.shape, 6)
+        monkeypatch.setattr(tensor, "_SCORE_BYTES", 4 * rows_per_block * 13 * x.itemsize)
+        for axis in (-1, 3):
+            self._assert_bit_identical(self._forward_backward(x, axis, g),
+                                       oracles.softmax_composite(x, axis, g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_other_axes_and_strided_arrays_take_the_whole_array_formulas(
+            self, monkeypatch, dtype):
+        monkeypatch.setattr(tensor, "_SCORE_BYTES", 2 * 13 * np.dtype(dtype).itemsize)
+        x = _signed_values(dtype, (6, 5, 13), 7)
+        g = _signed_values(dtype, x.shape, 8)
+        strided = x.transpose(2, 1, 0)
+        assert not strided.flags.c_contiguous
+        cases = [(x, 0, g), (x, 1, g), (strided, -1, g.transpose(2, 1, 0)),
+                 (x, -1, g.transpose(2, 1, 0).copy().transpose(2, 1, 0))]  # strided g
+        for a, axis, ga in cases:
+            self._assert_bit_identical(self._forward_backward(a, axis, ga),
+                                       oracles.softmax_composite(a, axis, ga))
+
+    def test_backward_holds_no_full_size_temporary(self):
+        x = np.random.default_rng(0).normal(size=(32, 128, 256))  # 8 MiB of float64
+        g = np.random.default_rng(1).normal(size=x.shape)
+        out = softmax(Tensor(x, requires_grad=True))
+        tracemalloc.start()
+        try:
+            (dx,) = out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result, one block buffer and the per-row sums of one block
+        assert peak < dx.nbytes + 2 * tensor._SCORE_BYTES
+
+
+class TestMatmul:
+    """Products whose contracted axis has length 1 are outer products."""
+
+    @staticmethod
+    def _grads(a, b, g):
+        at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        out = at @ bt
+        ga, gb = out._backward(g)
+        return out.data, ga, gb
+
+    @staticmethod
+    def _reference(a, b, g):
+        unb = tensor._unbroadcast
+        return (np.matmul(a, b), unb(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape),
+                unb(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((5, 1), (1, 4)), ((2, 1, 5, 1), (3, 1, 4)), ((3, 2, 6, 1), (3, 2, 1, 6)),
+    ], ids=["2d", "broadcast-batch", "heads"])
+    def test_outer_product_forward_equals_matmul(self, dtype, a_shape, b_shape):
+        a = _signed_values(dtype, a_shape, 1)
+        b = _signed_values(dtype, b_shape, 2)
+        out = (Tensor(a) @ Tensor(b)).data
+        assert out.flags.c_contiguous and out.dtype == dtype
+        np.testing.assert_array_equal(out, np.matmul(a, b))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outer_product_of_transposed_head_views_is_contiguous(self, dtype):
+        # q and k^T as attention takes them: (B, S, H, 1) split into heads
+        q = _signed_values(dtype, (2, 9, 3, 1), 3).transpose(0, 2, 1, 3)
+        k = _signed_values(dtype, (2, 9, 3, 1), 4).transpose(0, 2, 3, 1)
+        assert not q.flags.c_contiguous and not k.flags.c_contiguous
+        out = (Tensor(q) @ Tensor(k)).data
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, np.matmul(q, k))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((3, 1), (3, 4)), ((4, 4), (1, 4))])
+    def test_a_length_one_axis_that_is_not_contracted_still_mismatches(self, a_shape, b_shape):
+        with pytest.raises(ValueError):
+            Tensor(np.ones(a_shape)) @ Tensor(np.ones(b_shape))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 7, 1), (2, 3, 1, 5)),   # forward: q @ k^T
+        ((2, 3, 7, 5), (2, 3, 5, 1)),   # input gradient g @ b^T: attn @ v
+        ((2, 3, 1, 5), (2, 3, 5, 4)),   # weight gradient a^T @ g
+        ((3, 1, 4, 1), (2, 1, 6)),      # all of it with broadcast batch axes
+    ], ids=["forward", "input-grad", "weight-grad", "broadcast"])
+    def test_each_product_of_forward_and_backward_equals_matmul(self, a_shape, b_shape):
+        a = _signed_values(np.float64, a_shape, 5)
+        b = _signed_values(np.float64, b_shape, 6)
+        g = _signed_values(np.float64, np.matmul(a, b).shape, 7)
+        for got, want in zip(self._grads(a, b, g), self._reference(a, b, g)):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        # the same through transposed views of the operands
+        at = np.swapaxes(np.swapaxes(a, -1, -2).copy(), -1, -2)
+        bt = np.swapaxes(np.swapaxes(b, -1, -2).copy(), -1, -2)
+        for got, want in zip(self._grads(at, bt, g), self._reference(at, bt, g)):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestDropout:
     def test_p_zero_identity(self, np_rng):
