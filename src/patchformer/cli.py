@@ -33,7 +33,7 @@ from .model import param_count
 from .rng import Rng
 from .segio import load_recording_csv, load_segments, save_segments
 from .synth import SynthEffect, check_request, synth_generate
-from .tensor import HEAP_REUSE
+from .tensor import HEAP_REUSE, blas_threads, pool_threads
 from .train import TrainConfig, evaluate_segments
 from .runners import _run_fold, run_loso, sweep_configs, sweep_patch_length, sweep_table
 from .verify import THRESHOLD, full_model_grad_check, op_grad_checks
@@ -130,7 +130,8 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**_given(args, TrainConfig)).validate()
 
 
-# BLAS and OpenMP thread variables; recorded in manifests, never set
+# BLAS and OpenMP thread variables; recorded in manifests, never set (the
+# package pins OpenBLAS to one thread and sizes its own kernel pool)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -143,6 +144,8 @@ def environment() -> dict:
         "cpus": os.cpu_count(),
         "thread_env": {k: os.environ.get(k) for k in THREAD_VARS},
         "heap_reuse": HEAP_REUSE,
+        "pool_threads": pool_threads(),
+        "blas_threads": blas_threads(),
     }
 
 

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import csv
-import ctypes
-import glob
 import hashlib
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
@@ -21,6 +18,7 @@ from .data import SegmentSet, loso_split
 from .errors import FoldError, PatchFormerError
 from .model import build
 from .rng import Rng
+from .tensor import cpu_count, set_pool_threads
 from .train import TrainConfig, evaluate_segments, train
 
 METRICS = ("acc", "auc", "macro_f1")
@@ -145,33 +143,15 @@ def _run_fold(ds: SegmentSet, mc: ModelConfig, tc: TrainConfig, subject: str,
     return row, history
 
 
-def _set_blas_threads(n: int) -> None:
-    """Cap numpy's bundled OpenBLAS at `n` threads in this process.
-
-    Does nothing when numpy bundles no OpenBLAS exposing a thread setter.
-    """
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*blas*")
-    for path in glob.glob(pattern):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(n)
-                return
-
-
 # What every fold of the run shares, set in each fold worker by the pool's
 # initializer: forked workers inherit it, so no task pickles the dataset.
 _fold_inputs: tuple | None = None
 
 
-def _init_fold_worker(blas_threads: int, ds: SegmentSet, mc: ModelConfig,
+def _init_fold_worker(pool_threads: int, ds: SegmentSet, mc: ModelConfig,
                       tc: TrainConfig) -> None:
     global _fold_inputs
-    _set_blas_threads(blas_threads)
+    set_pool_threads(pool_threads)
     _fold_inputs = (ds, mc, tc)
 
 
@@ -186,7 +166,7 @@ def run_loso(ds: SegmentSet, mc: ModelConfig, tc: TrainConfig,
 
     With `parallel_folds` > 1, folds run in up to that many forked worker
     processes (never more than there are subjects), and each worker gets an
-    equal share of the CPUs as BLAS threads. `log_fn` receives one row per
+    equal share of the CPUs as kernel pool threads. `log_fn` receives one row per
     fold as the fold finishes; the report keeps subject order either way.
     """
     mc.validate()
@@ -213,13 +193,8 @@ def run_loso(ds: SegmentSet, mc: ModelConfig, tc: TrainConfig,
     started = time.perf_counter()
     workers = min(parallel_folds, len(subjects))
     if workers > 1:
-        # workers inherit numpy's default of one BLAS thread per CPU;
-        # left there, N workers would run N threads per CPU
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        share = max(1, cpus // workers)
+        # left at one kernel thread per CPU, N workers would run N per CPU
+        share = max(1, cpu_count() // workers)
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_fold_worker,
                                  initargs=(share, ds, mc, tc)) as pool:
             futures = [pool.submit(_run_worker_fold, s, ckpt_path(s)) for s in subjects]

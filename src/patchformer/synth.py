@@ -34,14 +34,21 @@ class SynthEffect:
         return list(range((c + 1) // 2))
 
 
-def _pink_noise(rng: Rng, c: int, l: int) -> np.ndarray:
-    """1/f-amplitude noise, normalized to unit standard deviation per channel."""
-    n_f = l // 2 + 1
-    spectrum = rng.normal(0.0, 1.0, (c, n_f)) + 1j * rng.normal(0.0, 1.0, (c, n_f))
+# Segments are shaped, transformed and normalized in groups whose complex
+# spectra take about this many bytes, so each group's passes stay in cache.
+_GROUP_BYTES = 1 << 20
+
+
+def _pink_noise(draws: np.ndarray, l: int) -> np.ndarray:
+    """1/f-amplitude noise from normal draws (m, 2, c, n_f) of m segments, the
+    real and imaginary spectra of each, normalized to unit standard
+    deviation per channel: (m, c, l)."""
+    n_f = draws.shape[-1]
+    spectrum = draws[:, 0] + 1j * draws[:, 1]
     shaping = np.zeros(n_f)
     shaping[1:] = 1.0 / np.sqrt(np.arange(1, n_f))
-    signal = np.fft.irfft(spectrum * shaping, n=l, axis=1)
-    return signal / (signal.std(axis=1, keepdims=True) + 1e-12)
+    signal = np.fft.irfft(spectrum * shaping, n=l, axis=-1)
+    return signal / (signal.std(axis=-1, keepdims=True) + 1e-12)
 
 
 def check_request(n_subjects: int, segs_per_class: int, c: int, l: int, f_s: float,
@@ -76,22 +83,36 @@ def synth_generate(n_subjects: int, segs_per_class: int, c: int, l: int,
     ids = np.empty(n, dtype=object)
     t = np.arange(l) / f_s
 
+    n_f = l // 2 + 1
+    group = max(1, _GROUP_BYTES // (c * n_f * 16))
+    waves = effect.amplitude != 0.0
     row = 0
     for s in range(n_subjects):
         subject = f"S{s + 1:02d}"
         srng = rng.spawn(f"subject:{subject}")
         gain = 1.0 + effect.gain_jitter * srng.uniform(-1.0, 1.0)
         for label in (0, 1):
-            for _ in range(segs_per_class):
-                seg = effect.noise_scale * _pink_noise(srng, c, l)
-                if label == 1 and effect.amplitude != 0.0:
-                    phase = srng.uniform(0.0, 2.0 * np.pi)
-                    wave = np.sin(2.0 * np.pi * effect.freq_hz * t + phase)
-                    seg[target] += effect.amplitude * gain * wave
-                X[row] = seg
-                y[row] = label
-                ids[row] = subject
-                row += 1
+            # the stream order of one segment after another: its two spectra,
+            # then, for a class-1 wave, its phase
+            if label == 1 and waves:
+                draws = np.empty((segs_per_class, 2, c, n_f))
+                phases = np.empty(segs_per_class)
+                for i in range(segs_per_class):
+                    draws[i, 0] = srng.normal(0.0, 1.0, (c, n_f))
+                    draws[i, 1] = srng.normal(0.0, 1.0, (c, n_f))
+                    phases[i] = srng.uniform(0.0, 2.0 * np.pi)
+            else:
+                draws = srng.normal(0.0, 1.0, (segs_per_class, 2, c, n_f))
+            for i in range(0, segs_per_class, group):
+                j = min(i + group, segs_per_class)
+                segs = X[row + i:row + j]
+                segs[:] = effect.noise_scale * _pink_noise(draws[i:j], l)
+                if label == 1 and waves:
+                    wave = np.sin(2.0 * np.pi * effect.freq_hz * t + phases[i:j, None])
+                    segs[:, target] += (effect.amplitude * gain * wave)[:, None]
+            y[row:row + segs_per_class] = label
+            ids[row:row + segs_per_class] = subject
+            row += segs_per_class
 
     metadata = {
         "generator": "synth",

@@ -15,7 +15,11 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import glob
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,25 +36,145 @@ DEFAULT_DTYPE = np.float32
 # scores attention in _SCORE_BYTES blocks. Raising the mmap and trim
 # thresholds to 1 GiB, above the 571 MiB largest array of the paper's B=64
 # recipe, keeps freed step arrays on malloc's free lists for the next step to
-# reuse. Set once per process; forked fold workers inherit it.
+# reuse. malloc also keeps one arena: each kernel pool thread would otherwise
+# get its own, whose freed blocks the other threads never reuse (6-13 MiB more
+# peak in a reference train step). Set once per process; forked fold workers
+# inherit it.
 _HEAP_THRESHOLD = 1 << 30
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 
 def _reuse_freed_heap() -> bool:
-    """Raise glibc's mmap and trim thresholds; False where the C library has
-    no `mallopt` or refuses the value (macOS, musl, Windows)."""
+    """Raise glibc's mmap and trim thresholds and cap its arenas at one;
+    False where the C library has no `mallopt` or refuses a value (macOS,
+    musl, Windows)."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
         return False
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
-    return all([mallopt(param, _HEAP_THRESHOLD) == 1
-                for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD)])
+    return all([mallopt(param, value) == 1 for param, value in (
+        (_M_MMAP_THRESHOLD, _HEAP_THRESHOLD), (_M_TRIM_THRESHOLD, _HEAP_THRESHOLD),
+        (_M_ARENA_MAX, 1))])
 
 
 HEAP_REUSE = _reuse_freed_heap()
+
+
+def _openblas(verb: str):
+    """numpy's bundled OpenBLAS `<verb>_num_threads` function, or None where
+    numpy bundles no OpenBLAS that exports one."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*blas*")
+    for path in glob.glob(pattern):
+        lib = ctypes.CDLL(path)
+        for symbol in (f"scipy_openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads64_",
+                       f"openblas_{verb}_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _set_blas_threads(n: int) -> None:
+    """Cap numpy's bundled OpenBLAS at `n` threads in this process; does
+    nothing without an OpenBLAS thread setter."""
+    setter = _openblas("set")
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(n)
+
+
+def blas_threads() -> int | None:
+    """Threads numpy's bundled OpenBLAS runs with, read back from it; None
+    without an OpenBLAS thread getter."""
+    getter = _openblas("get")
+    if getter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return int(getter())
+
+
+# The package runs its own CPU parallelism: the blocked kernels below fan
+# their blocks out over one thread pool. OpenBLAS runs on one thread, because
+# (a) its idle workers keep spinning on the other CPUs after each call and
+# starve the pool, and (b) its results depend on its thread count, so
+# OPENBLAS_NUM_THREADS and the machine's CPU count would change a train
+# step's bits. Set once per process; forked fold workers inherit it.
+_set_blas_threads(1)
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Size of the kernel pool (None until first asked: one thread per CPU), and
+# (pid, executor) of the pool itself, created on first use. A forked child
+# sees the parent's pid there and makes its own: it has none of the parent's
+# threads, so work sent to the parent's executor might never run.
+_pool_size: int | None = None
+_pool: tuple | None = None
+_pool_lock = threading.Lock()
+
+
+def pool_threads() -> int:
+    """Threads the blocked kernels of this process fan out over."""
+    global _pool_size
+    if _pool_size is None:
+        _pool_size = cpu_count()
+    return _pool_size
+
+
+def set_pool_threads(n: int) -> None:
+    """Size the kernel pool of this process at `n` threads (at least 1)."""
+    global _pool_size, _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0] == os.getpid():
+            _pool[1].shutdown()
+        _pool_size, _pool = max(1, int(n)), None
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            _pool = (os.getpid(), ThreadPoolExecutor(pool_threads(),
+                                                     thread_name_prefix="patchformer-kernel"))
+        return _pool[1]
+
+
+def _parts(total: int, step: int) -> list:
+    """(lo, hi) ranges covering range(total), one per pool thread and at most
+    one per block of `step` items; every cut falls on a block boundary, so a
+    part walks exactly the blocks a single loop would."""
+    blocks = -(-total // step)
+    n = min(blocks, pool_threads()) if blocks > 1 else 1
+    return [(min(total, blocks * i // n * step), min(total, blocks * (i + 1) // n * step))
+            for i in range(n)]
+
+
+def _blocks(lo: int, hi: int, step: int):
+    """The blocks of `step` items of part [lo, hi), as slices."""
+    return (slice(i, min(i + step, hi)) for i in range(lo, hi, step))
+
+
+def _fan_out(task, parts: list) -> None:
+    """task(i, lo, hi) for each part (lo, hi): inline when there is one part,
+    else one pool task each. Tasks write only into arrays the caller
+    allocated and call no public kernel; every task has ended when this
+    returns or raises."""
+    if len(parts) == 1:
+        task(0, *parts[0])
+        return
+    pool = _executor()
+    futures = [pool.submit(task, i, lo, hi) for i, (lo, hi) in enumerate(parts)]
+    wait(futures)
+    for future in futures:
+        future.result()
+
 
 # Whether op results record their parents; switched off by `no_grad`.
 _grad_enabled = True
@@ -111,10 +235,33 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     length 1 the product is an outer product: one multiply per element, as
     matmul computes it, so the values are equal (an exact-zero product may
     keep a sign matmul drops). order="C" keeps the result contiguous even
-    when the operands are transposed views."""
-    if a.shape[-1] == 1 and b.shape[-2] == 1:
-        return np.multiply(a, b, order="C")
-    return a @ b
+    when the operands are transposed views.
+
+    4-D operands with the same leading axis (the attention products) are
+    cut along it into blocks of about _SCORE_BYTES, fanned out over the
+    kernel pool; a product of one block is computed whole. Every slice
+    keeps its operand's strides and each matrix product is computed on its
+    own, so the values do not depend on the cut.
+    """
+    outer = a.shape[-1] == 1 and b.shape[-2] == 1
+    blocks = 1
+    if a.ndim == b.ndim == 4 and a.shape[0] == b.shape[0] > 1:
+        shape = (a.shape[0], b.shape[1] if a.shape[1] == 1 else a.shape[1],
+                 a.shape[2], b.shape[3])
+        dtype = np.result_type(a, b)
+        row_bytes = max(math.prod(shape), a.size, b.size) // shape[0] * dtype.itemsize
+        step = max(1, _SCORE_BYTES // max(1, row_bytes))
+        blocks = -(-shape[0] // step)
+    if blocks == 1:
+        return np.multiply(a, b, order="C") if outer else a @ b
+    out = np.empty(shape, dtype=dtype)
+    product = np.multiply if outer else np.matmul
+
+    def task(_, lo, hi):
+        product(a[lo:hi], b[lo:hi], out=out[lo:hi])
+
+    _fan_out(task, _parts(shape[0], step))
+    return out
 
 
 class Tensor:
@@ -413,11 +560,10 @@ def _softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None,
     return y
 
 
-def _row_blocks(rows: int, row_bytes: int) -> list:
-    """Slices of `rows` rows whose blocks of `row_bytes` per row fit in
-    _SCORE_BYTES (at least one row each)."""
-    step = max(1, _SCORE_BYTES // row_bytes)
-    return [slice(i, i + step) for i in range(0, rows, step)]
+def _row_step(row_bytes: int) -> int:
+    """Rows per block when each row takes `row_bytes`: as many as fit in
+    _SCORE_BYTES, at least one."""
+    return max(1, _SCORE_BYTES // row_bytes)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -427,8 +573,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     blocks of rows whose arrays (input and output; cotangent, output, one
     reused buffer and gradient) fit in _SCORE_BYTES together, so each row's
     passes stay in cache and backward makes no full-size temporary. The
-    per-row operations are those of the whole-array formulas, so the values
-    are bit-identical to them; other inputs use those formulas.
+    blocks are fanned out over the kernel pool. The per-row operations are
+    those of the whole-array formulas, so the values are bit-identical to
+    them; other inputs use those formulas.
     """
     a = x.data
     blocked = a.ndim > 0 and a.size > 0 and a.flags.c_contiguous and axis in (-1, a.ndim - 1)
@@ -436,8 +583,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         width = a.shape[-1]
         y = np.empty_like(a)
         rows, y_rows = a.reshape(-1, width), y.reshape(-1, width)
-        for block in _row_blocks(len(rows), 2 * width * a.itemsize):
-            _softmax(rows[block], -1, out=y_rows[block])
+        step = _row_step(2 * width * a.itemsize)
+
+        def task(_, lo, hi):
+            for block in _blocks(lo, hi, step):
+                _softmax(rows[block], -1, out=y_rows[block])
+
+        _fan_out(task, _parts(len(rows), step))
     else:
         y = _softmax(a, axis)
 
@@ -452,17 +604,23 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def _softmax_grad_rows(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """`(g - (g * y).sum(-1, keepdims=True)) * y` for C-contiguous g and y,
-    one block of rows at a time through one reused buffer for `g * y`."""
+    one block of rows at a time through one reused buffer per part for
+    `g * y`, the parts fanned out over the kernel pool."""
     width = y.shape[-1]
     g_rows, y_rows = g.reshape(-1, width), y.reshape(-1, width)
     dx = np.empty(g_rows.shape, dtype=np.result_type(g, y))
-    blocks = _row_blocks(len(dx), 4 * width * dx.itemsize)
-    buf = np.empty((len(dx[blocks[0]]), width), dtype=dx.dtype)
-    for block in blocks:
-        g_block, y_block = g_rows[block], y_rows[block]
-        gy = np.multiply(g_block, y_block, out=buf[:len(g_block)])
-        np.subtract(g_block, gy.sum(axis=-1, keepdims=True), out=dx[block])
-        dx[block] *= y_block
+    step = _row_step(4 * width * dx.itemsize)
+    parts = _parts(len(dx), step)
+    bufs = np.empty((len(parts), min(step, len(dx)), width), dtype=dx.dtype)
+
+    def task(i, lo, hi):
+        for block in _blocks(lo, hi, step):
+            g_block, y_block = g_rows[block], y_rows[block]
+            gy = np.multiply(g_block, y_block, out=bufs[i, :len(g_block)])
+            np.subtract(g_block, gy.sum(axis=-1, keepdims=True), out=dx[block])
+            dx[block] *= y_block
+
+    _fan_out(task, parts)
     return dx.reshape(g.shape)
 
 
@@ -480,14 +638,50 @@ def dropout(x: Tensor, p: float, rng=None, mode: str = "train") -> Tensor:
         return x
     if rng is None:
         raise ValueError("train-mode dropout needs an Rng")
-    dtype = x.data.dtype
-    factor = np.multiply(rng.keep_mask(p, x.shape), dtype.type(1.0 / (1.0 - p)), dtype=dtype)
-    data = x.data * factor
+    keep = rng.keep_mask(p, x.shape)
+    scale = x.data.dtype.type(1.0 / (1.0 - p))
+    if _blocked(x.data, x.data):
+        factor, data = np.empty_like(x.data), np.empty_like(x.data)
+        _blocked_product(x.data, factor, data, keep, scale)
+    else:
+        factor = np.multiply(keep, scale, dtype=x.data.dtype)
+        data = x.data * factor
 
     def bw(g):
-        return (g * factor,)
+        if not _blocked(g, factor):
+            return (g * factor,)
+        gx = np.empty(g.shape, dtype=np.result_type(g, factor))
+        _blocked_product(g, factor, gx)
+        return (gx,)
 
     return Tensor._from_op(data, (x,), bw)
+
+
+def _blocked(a: np.ndarray, factor: np.ndarray) -> bool:
+    """Whether `a * factor` takes _blocked_product: C-contiguous arrays of one
+    shape spanning more than one block."""
+    return (a.flags.c_contiguous and a.shape == factor.shape
+            and a.size * 2 * factor.itemsize > _SCORE_BYTES)
+
+
+def _blocked_product(a: np.ndarray, factor: np.ndarray, out: np.ndarray,
+                     keep: np.ndarray | None = None, scale=None) -> None:
+    """out = a * factor for C-contiguous arrays of one shape, in blocks of
+    _SCORE_BYTES / 2 bytes of factor, fanned out over the kernel pool.
+    With `keep`, each block of factor is first set to keep * scale, so both
+    passes find the block in cache. Elementwise, so the values do not depend
+    on the blocks."""
+    a, f, o = a.reshape(-1), factor.reshape(-1), out.reshape(-1)
+    k = None if keep is None else keep.reshape(-1)
+    step = max(1, _SCORE_BYTES // (2 * f.itemsize))
+
+    def task(_, lo, hi):
+        for block in _blocks(lo, hi, step):
+            if k is not None:
+                np.multiply(k[block], scale, out=f[block], dtype=f.dtype)
+            np.multiply(a[block], f[block], out=o[block])
+
+    _fan_out(task, _parts(len(o), step))
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +742,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
-def _batch_chunks(b: int, sample_bytes: int) -> list:
-    """Slices of the batch axis whose column blocks fit in _COLUMN_BYTES."""
-    step = max(1, _COLUMN_BYTES // max(1, sample_bytes))
-    return [slice(i, i + step) for i in range(0, b, step)]
+def _batch_step(sample_bytes: int) -> int:
+    """Samples per chunk whose column block fits in _COLUMN_BYTES, at least one."""
+    return max(1, _COLUMN_BYTES // max(1, sample_bytes))
 
 
-def _im2col(win: np.ndarray, rows: slice) -> np.ndarray:
-    """Column block of samples `rows`: windows (B, F_in, C, T, K) -> (n, F_in*K, C*T)."""
+def _im2col(win: np.ndarray, rows: slice, out: np.ndarray) -> np.ndarray:
+    """Column block of samples `rows`, windows (B, F_in, C, T, K) -> (n, F_in*K, C*T),
+    written into the first n entries of `out`."""
     part = win[rows]
     n, f_in, c, t, k = part.shape
-    return part.transpose(0, 1, 4, 2, 3).reshape(n, f_in * k, c * t)
+    cols = out[:n]
+    cols.reshape(n, f_in, k, c, t)[...] = part.transpose(0, 1, 4, 2, 3)
+    return cols
 
 
 def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -568,7 +764,10 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     Time is padded with floor((K-1)/2) leading and ceil((K-1)/2) trailing
     zeros, so the output time length equals T; the channel axis is untouched.
     Each chunk of samples is lowered to an im2col column block and multiplied
-    by the (F_out, F_in*K) kernel matrix, forward and backward.
+    by the (F_out, F_in*K) kernel matrix, forward and backward. The chunks
+    are fanned out over the kernel pool, each part reusing one column buffer
+    the calling thread allocates; the weight gradient adds the per-chunk sums
+    in chunk order, so the values do not depend on the pool's size.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv_temporal expects rank-4 input, got shape {x.shape}")
@@ -585,29 +784,58 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     xpad[..., pad_l:pad_l + t] = x.data
     win = sliding_window_view(xpad, k, axis=3)  # (B, F_in, C, T, K)
     w = kernels.data.reshape(f_out, f_in * k)
-    chunks = _batch_chunks(b_, f_in * k * c * t * xpad.itemsize)
+    step = _batch_step(f_in * k * c * t * xpad.itemsize)
+    parts = _parts(b_, step)
+    col_shape = (len(parts), min(step, b_), f_in * k, c * t)
     data = np.empty((b_, f_out, c * t), dtype=np.result_type(xpad, w))
-    for rows in chunks:
-        np.matmul(w, _im2col(win, rows), out=data[rows])
+    cols = np.empty(col_shape, dtype=xpad.dtype)
+
+    def forward(i, lo, hi):
+        for rows in _blocks(lo, hi, step):
+            np.matmul(w, _im2col(win, rows, cols[i]), out=data[rows])
+
+    _fan_out(forward, parts)
+    del cols
     data = data.reshape(b_, f_out, c, t)
     data += bias.data.reshape(1, f_out, 1, 1)
 
     def bw(g):
         gx = gw = gb = None
         g3 = g.reshape(b_, f_out, c * t)
+        # per part: column rows of the input gradient, the padded chunk they
+        # are added into, and the column block of the weight gradient
+        dtype = np.result_type(g, w)
         if x.requires_grad:
-            # col2im: each kernel tap j adds its column rows back at time shift j
-            gx = np.empty(x.shape, dtype=np.result_type(g, w))
-            for rows in chunks:
-                gcol = (w.T @ g3[rows]).reshape(-1, f_in, k, c, t)
-                gxpad = np.zeros(gcol.shape[:2] + (c, t + k - 1), dtype=gcol.dtype)
-                for j in range(k):
-                    gxpad[..., j:j + t] += gcol[:, :, j]
-                gx[rows] = gxpad[..., pad_l:pad_l + t]
+            gx = np.empty(x.shape, dtype=dtype)
+            gcols = np.empty(col_shape, dtype=dtype)
+            gxpad = np.empty(col_shape[:2] + (f_in, c, t + k - 1), dtype=dtype)
         if kernels.requires_grad:
-            gw = np.zeros(w.shape, dtype=np.result_type(g, win))
-            for rows in chunks:
-                gw += (g3[rows] @ _im2col(win, rows).transpose(0, 2, 1)).sum(axis=0)
+            cols = np.empty(col_shape, dtype=win.dtype)
+            prods = np.empty(col_shape[:2] + w.shape, dtype=np.result_type(g, win))
+            sums = np.empty((-(-b_ // step),) + w.shape, dtype=prods.dtype)
+
+        def backward(i, lo, hi):
+            for rows in _blocks(lo, hi, step):
+                n = rows.stop - rows.start
+                if x.requires_grad:
+                    # col2im: each kernel tap j adds its column rows back at time shift j
+                    gcol = np.matmul(w.T, g3[rows], out=gcols[i, :n]).reshape(n, f_in, k, c, t)
+                    pad = gxpad[i, :n]
+                    pad.fill(0)
+                    for j in range(k):
+                        pad[..., j:j + t] += gcol[:, :, j]
+                    gx[rows] = pad[..., pad_l:pad_l + t]
+                if kernels.requires_grad:
+                    prod = np.matmul(g3[rows], _im2col(win, rows, cols[i]).transpose(0, 2, 1),
+                                     out=prods[i, :n])
+                    prod.sum(axis=0, out=sums[rows.start // step])
+
+        if x.requires_grad or kernels.requires_grad:
+            _fan_out(backward, parts)
+        if kernels.requires_grad:
+            gw = np.zeros(w.shape, dtype=sums.dtype)
+            for chunk in sums:
+                gw += chunk
             gw = gw.reshape(kernels.shape)
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
@@ -779,10 +1007,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 def _attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """softmax(q k^T) v over the last two axes of (B, H, S, dh) arrays, no graph.
 
-    (batch, head) slices go through one reused _SCORE_BYTES buffer in groups,
-    so the (B, H, S, S) scores never exist at once. Each group runs the same
-    per-slice matmuls and the same per-row max, subtract, exp, sum and divide
-    as `_softmax(q @ k^T) @ v`, so the result is bit-identical to it.
+    (batch, head) slices go in groups through a reused _SCORE_BYTES buffer,
+    one per part of the kernel pool, so the (B, H, S, S) scores never exist
+    at once. Each group runs the same per-slice matmuls and the same per-row
+    max, subtract, exp, sum and divide as `_softmax(q @ k^T) @ v`, so the
+    result is bit-identical to it.
     """
     b, h, s, dh = q.shape
     n = b * h
@@ -790,7 +1019,8 @@ def _attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     score_dtype = np.result_type(q, k)
     ctx = np.empty((n, s, dh), dtype=np.result_type(score_dtype, v))
     step = max(1, _SCORE_BYTES // (s * s * score_dtype.itemsize))
-    buf = np.empty((min(step, n), s, s), dtype=score_dtype)
+    parts = _parts(n, step)
+    bufs = np.empty((len(parts), min(step, n), s, s), dtype=score_dtype)
     if dh == 1:
         # a score is the single product q_i * k_j, and rounding is monotone,
         # so a row's max is q_i * max(k) where q_i >= 0 and q_i * min(k) elsewhere
@@ -799,15 +1029,18 @@ def _attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
                               kt.min(axis=-1, keepdims=True))
     else:
         kt = k.transpose(0, 2, 1)
-    for i in range(0, n, step):
-        j = min(i + step, n)
-        block = buf[:j - i]
-        if dh == 1:
-            np.multiply(q[i:j], kt[i:j], out=block)
-            _softmax(block, -1, out=block, amax=rowmax[i:j])
-        else:
-            _softmax(np.matmul(q[i:j], kt[i:j], out=block), -1, out=block)
-        np.matmul(block, v[i:j], out=ctx[i:j])
+
+    def task(p, lo, hi):
+        for group in _blocks(lo, hi, step):
+            block = bufs[p, :group.stop - group.start]
+            if dh == 1:
+                np.multiply(q[group], kt[group], out=block)
+                _softmax(block, -1, out=block, amax=rowmax[group])
+            else:
+                _softmax(np.matmul(q[group], kt[group], out=block), -1, out=block)
+            np.matmul(block, v[group], out=ctx[group])
+
+    _fan_out(task, parts)
     return ctx.reshape(b, h, s, dh)
 
 

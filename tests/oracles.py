@@ -256,3 +256,31 @@ def softmax_composite(x, axis, g):
     y /= y.sum(axis=axis, keepdims=True)
     dot = (g * y).sum(axis=axis, keepdims=True)
     return y, (g - dot) * y
+
+
+def synth_segments_loop(n_subjects, segs_per_class, c, l, f_s, effect, rng):
+    """(X, y, subject ids) of `synth_generate`, one segment at a time: its
+    former formulation, kept as the reference for the grouped generator."""
+    n_f = l // 2 + 1
+    shaping = np.zeros(n_f)
+    shaping[1:] = 1.0 / np.sqrt(np.arange(1, n_f))
+    t = np.arange(l) / f_s
+    target = effect.resolve_channels(c)
+    X, y, ids = [], [], []
+    for s in range(n_subjects):
+        subject = f"S{s + 1:02d}"
+        srng = rng.spawn(f"subject:{subject}")
+        gain = 1.0 + effect.gain_jitter * srng.uniform(-1.0, 1.0)
+        for label in (0, 1):
+            for _ in range(segs_per_class):
+                spectrum = srng.normal(0.0, 1.0, (c, n_f)) + 1j * srng.normal(0.0, 1.0, (c, n_f))
+                signal = np.fft.irfft(spectrum * shaping, n=l, axis=1)
+                seg = effect.noise_scale * (signal / (signal.std(axis=1, keepdims=True) + 1e-12))
+                if label == 1 and effect.amplitude != 0.0:
+                    phase = srng.uniform(0.0, 2.0 * np.pi)
+                    wave = np.sin(2.0 * np.pi * effect.freq_hz * t + phase)
+                    seg[target] += effect.amplitude * gain * wave
+                X.append(seg)
+                y.append(label)
+                ids.append(subject)
+    return np.array(X), np.array(y), np.array(ids, dtype=object)

@@ -7,6 +7,7 @@ import platform
 import numpy as np
 import pytest
 
+from patchformer import tensor
 from patchformer.cli import THREAD_VARS, main
 from patchformer.config import ABLATIONS, ModelConfig
 from patchformer.segio import load_segments
@@ -50,6 +51,8 @@ class TestSynth:
         assert env["python"] == platform.python_version()
         assert env["thread_env"].keys() == set(THREAD_VARS)
         assert env["heap_reuse"] is HEAP_REUSE
+        assert env["pool_threads"] == tensor.pool_threads() >= 1
+        assert env["blas_threads"] == tensor.blas_threads() in (1, None)  # pinned at import
 
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a.seg", tmp_path / "b.seg"

@@ -11,6 +11,7 @@ from patchformer.errors import DataFormatError
 from patchformer.metrics import accuracy, roc_auc
 from patchformer.rng import Rng
 from patchformer.segio import load_recording_csv, load_segments, save_segments
+from patchformer import synth
 from patchformer.synth import SynthEffect, bandpower, synth_generate
 
 import oracles
@@ -146,6 +147,24 @@ class TestSynth:
         b = synth_generate(2, 5, 3, 64, 32.0, SynthEffect(amplitude=0.7), Rng(77))
         assert a.X.tobytes() == b.X.tobytes()
         np.testing.assert_array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("shape", [(6, 40, 6, 160, 40.0), (2, 5, 28, 1000, 250.0),
+                                       (3, 7, 5, 33, 11.0), (1, 1, 1, 2, 4.0)])
+    @pytest.mark.parametrize("effect", [SynthEffect(amplitude=3.0), SynthEffect(amplitude=0.0),
+                                        SynthEffect(amplitude=1.5, channels=(0, 0), noise_scale=0.5)],
+                             ids=["wave", "null", "repeated-channel"])
+    def test_grouped_generator_is_bit_identical_to_the_segment_loop(self, monkeypatch, shape,
+                                                                     effect):
+        # SegmentSet stores float32: compare the float64 arrays handed to it
+        monkeypatch.setattr(synth, "SegmentSet", lambda X, y, ids, *rest: (X, y, ids))
+        want = oracles.synth_segments_loop(*shape, effect, Rng(31))
+        # a small group budget also makes groups of several segments, and a last partial one
+        for budget in (synth._GROUP_BYTES, 3 * shape[2] * (shape[3] // 2 + 1) * 16):
+            monkeypatch.setattr(synth, "_GROUP_BYTES", budget)
+            X, y, ids = synth_generate(*shape, effect, Rng(31))
+            assert X.dtype == want[0].dtype and X.tobytes() == want[0].tobytes()
+            np.testing.assert_array_equal(y, want[1])
+            assert list(ids) == list(want[2])
 
     def test_high_snr_separable_by_bandpower(self):
         ds = synth_generate(3, 30, 6, 160, 40.0, SynthEffect(amplitude=3.0), Rng(5))

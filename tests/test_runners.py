@@ -1,16 +1,15 @@
 """LOSO runner, ablations, sweep and report serialization."""
 
 import csv
-import ctypes
-import glob
 import json
 import os
+import threading
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from patchformer import runners
+from patchformer import runners, tensor
 from patchformer.config import ModelConfig
 from patchformer.errors import FoldError
 from patchformer.runners import (
@@ -23,19 +22,8 @@ from patchformer.runners import (
 )
 from patchformer.rng import Rng
 from patchformer.synth import SynthEffect, synth_generate
+from patchformer.tensor import Tensor
 from patchformer.train import TrainConfig
-
-
-def _openblas(*symbols):
-    """The first of `symbols` that numpy's bundled OpenBLAS exports, or None."""
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*blas*")
-    for path in glob.glob(pattern):
-        lib = ctypes.CDLL(path)
-        for symbol in symbols:
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                return fn
-    return None
 
 
 @pytest.fixture(scope="module")
@@ -81,25 +69,36 @@ class TestRunLoso:
         assert [row["subject"] for row in seq] == ["S01", "S02", "S03"]
         assert sorted(par, key=lambda row: row["subject"]) == seq
 
-    def test_fold_workers_share_the_blas_threads(self, micro_dataset, micro_config,
-                                                 monkeypatch):
-        getter = _openblas("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                           "openblas_get_num_threads")
-        setter = _openblas("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                           "openblas_set_num_threads")
-        if getter is None or setter is None:
-            pytest.skip("numpy's BLAS is not an OpenBLAS with a thread getter and setter")
-        getter.argtypes, getter.restype = [], ctypes.c_int
+    def test_fold_workers_pin_blas_and_share_the_pool(self, micro_dataset, micro_config,
+                                                      monkeypatch):
+        if tensor.blas_threads() is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS with a thread getter")
 
-        def report_threads(model, fold, tc, rng, log_fn=None):  # best_epoch: the worker's count
-            return model.state_dict(), getter(), []
+        def report_threads(model, fold, tc, rng, log_fn=None):  # best_epoch: the worker's counts
+            return model.state_dict(), (tensor.blas_threads(), tensor.pool_threads()), []
 
         monkeypatch.setattr(runners, "train", report_threads)
-        before = getter()
         report = run_loso(micro_dataset, micro_config, micro_tc(), parallel_folds=2)
         share = max(1, len(os.sched_getaffinity(0)) // 2)
-        assert [r.best_epoch for r in report.rows] == [share] * 3
-        assert getter() == before
+        assert [r.best_epoch for r in report.rows] == [(1, share)] * 3
+        assert tensor.blas_threads() == 1
+
+    @pytest.mark.parametrize("parallel_folds", [2, 3])
+    def test_kernel_pool_never_exceeds_the_workers_share(self, micro_dataset, micro_config,
+                                                         monkeypatch, parallel_folds):
+        def run_kernels(model, fold, tc, rng, log_fn=None):  # best_epoch: pool size, threads
+            rows = np.ones((4 * tensor._SCORE_BYTES // 64, 8))  # many row blocks
+            with tensor.no_grad():
+                tensor.softmax(Tensor(rows))
+            threads = [t for t in threading.enumerate() if t.name.startswith("patchformer-kernel")]
+            return model.state_dict(), (tensor.pool_threads(), len(threads)), []
+
+        monkeypatch.setattr(runners, "train", run_kernels)
+        report = run_loso(micro_dataset, micro_config, micro_tc(), parallel_folds=parallel_folds)
+        share = max(1, len(os.sched_getaffinity(0)) // parallel_folds)
+        for row in report.rows:
+            size, threads = row.best_epoch
+            assert size == share and threads <= share
 
     def test_pool_never_outnumbers_subjects(self, micro_dataset, micro_config, monkeypatch):
         seen = {}
@@ -122,7 +121,7 @@ class TestRunLoso:
         monkeypatch.setattr(runners, "ProcessPoolExecutor", RecordingPool)
         report = run_loso(micro_dataset, micro_config, micro_tc(), parallel_folds=64)
         assert seen["max_workers"] == 3
-        assert seen["initargs"][0] == max(1, len(os.sched_getaffinity(0)) // 3)  # BLAS threads
+        assert seen["initargs"][0] == max(1, len(os.sched_getaffinity(0)) // 3)  # pool threads
         assert [r.subject for r in report.rows] == ["S01", "S02", "S03"]
 
     @pytest.mark.parametrize("parallel_folds", [0, -2])

@@ -689,8 +689,8 @@ def test_conv_temporal_matches_the_einsum_formulation(monkeypatch, k):
     b, f_in, c, t, f_out = 5, 3, 2, 13, 4
     # a column block of two samples: the batch of 5 runs as chunks of 2, 2 and 1
     monkeypatch.setattr(tensor, "_COLUMN_BYTES", 2 * f_in * k * c * t * 8)
-    assert [s.indices(b) for s in tensor._batch_chunks(b, f_in * k * c * t * 8)] == \
-        [(0, 2, 1), (2, 4, 1), (4, 5, 1)]
+    assert [s.indices(b) for s in tensor._blocks(0, b, tensor._batch_step(f_in * k * c * t * 8))] \
+        == [(0, 2, 1), (2, 4, 1), (4, 5, 1)]
     rng = np.random.default_rng(k)
     x, w = rng.normal(size=(b, f_in, c, t)), rng.normal(size=(f_out, f_in, 1, k))
     bias, g = rng.normal(size=f_out), rng.normal(size=(b, f_out, c, t))
