@@ -100,7 +100,8 @@ def blas_threads() -> int | None:
 # (a) its idle workers keep spinning on the other CPUs after each call and
 # starve the pool, and (b) its results depend on its thread count, so
 # OPENBLAS_NUM_THREADS and the machine's CPU count would change a train
-# step's bits. Set once per process; forked fold workers inherit it.
+# step's bits. Set once per process, for all of its numpy work (a program
+# that imports the package included); forked fold workers inherit it.
 _set_blas_threads(1)
 
 
@@ -146,12 +147,13 @@ def _executor() -> ThreadPoolExecutor:
         return _pool[1]
 
 
-def _parts(total: int, step: int) -> list:
-    """(lo, hi) ranges covering range(total), one per pool thread and at most
-    one per block of `step` items; every cut falls on a block boundary, so a
-    part walks exactly the blocks a single loop would."""
+def _parts(total: int, step: int, most: int | None = None) -> list:
+    """(lo, hi) ranges covering range(total), one per pool thread, at most
+    one per block of `step` items and at most `most` (at least one); every
+    cut falls on a block boundary, so a part walks exactly the blocks a
+    single loop would."""
     blocks = -(-total // step)
-    n = min(blocks, pool_threads()) if blocks > 1 else 1
+    n = max(1, min(blocks, pool_threads(), blocks if most is None else most))
     return [(min(total, blocks * i // n * step), min(total, blocks * (i + 1) // n * step))
             for i in range(n)]
 
@@ -199,14 +201,24 @@ def no_grad():
 _SHORT_AXIS = 8
 
 # Cap on the im2col column block of a temporal convolution: samples are
-# lowered to columns in chunks whose block stays below this many bytes.
+# lowered to columns in chunks whose block stays below this many bytes. One
+# block exists at a time, whatever the kernel pool's size: the samples of a
+# chunk are fanned out over the pool, in parts of at least _PART_BYTES of
+# columns, so a chunk smaller than that (every convolution of the small
+# acceptance config) runs inline.
 _COLUMN_BYTES = 32 << 20
+_PART_BYTES = 4 << 20
 
 # Cap on the score block of the no-graph attention core: (batch, head) slices
 # are scored, normalized and applied to v in groups whose S x S scores fit
 # this many bytes, so each group's passes stay in a per-core L2 cache. The
 # recorded softmax walks its rows in blocks of the same size.
 _SCORE_BYTES = 1 << 20
+
+# Cap on the score blocks the no-graph attention core holds at once: it fans
+# out over as many parts (one block each) as fit, so its scratch does not
+# grow with the kernel pool's size.
+_SCORE_SCRATCH_BYTES = 3 << 20
 
 
 def _short_axis_mean(a: np.ndarray) -> np.ndarray:
@@ -570,12 +582,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along one axis (max subtraction before exponentiation).
 
     Over the last axis of a C-contiguous input, forward and backward walk
-    blocks of rows whose arrays (input and output; cotangent, output, one
-    reused buffer and gradient) fit in _SCORE_BYTES together, so each row's
-    passes stay in cache and backward makes no full-size temporary. The
-    blocks are fanned out over the kernel pool. The per-row operations are
-    those of the whole-array formulas, so the values are bit-identical to
-    them; other inputs use those formulas.
+    blocks of rows whose arrays (input and output; cotangent, output and
+    gradient) fit in _SCORE_BYTES together, so each row's passes stay in
+    cache and backward makes no full-size temporary. The blocks are fanned
+    out over the kernel pool. The per-row operations are those of the
+    whole-array formulas, so the values are bit-identical to them; other
+    inputs use those formulas.
     """
     a = x.data
     blocked = a.ndim > 0 and a.size > 0 and a.flags.c_contiguous and axis in (-1, a.ndim - 1)
@@ -604,23 +616,21 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def _softmax_grad_rows(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """`(g - (g * y).sum(-1, keepdims=True)) * y` for C-contiguous g and y,
-    one block of rows at a time through one reused buffer per part for
-    `g * y`, the parts fanned out over the kernel pool."""
+    one block of rows at a time, `g * y` held in the block's rows of the
+    result; the blocks are fanned out over the kernel pool."""
     width = y.shape[-1]
     g_rows, y_rows = g.reshape(-1, width), y.reshape(-1, width)
     dx = np.empty(g_rows.shape, dtype=np.result_type(g, y))
-    step = _row_step(4 * width * dx.itemsize)
-    parts = _parts(len(dx), step)
-    bufs = np.empty((len(parts), min(step, len(dx)), width), dtype=dx.dtype)
+    step = _row_step(3 * width * dx.itemsize)
 
-    def task(i, lo, hi):
+    def task(_, lo, hi):
         for block in _blocks(lo, hi, step):
-            g_block, y_block = g_rows[block], y_rows[block]
-            gy = np.multiply(g_block, y_block, out=bufs[i, :len(g_block)])
-            np.subtract(g_block, gy.sum(axis=-1, keepdims=True), out=dx[block])
-            dx[block] *= y_block
+            g_block, y_block, out = g_rows[block], y_rows[block], dx[block]
+            dot = np.multiply(g_block, y_block, out=out).sum(axis=-1, keepdims=True)
+            np.subtract(g_block, dot, out=out)
+            out *= y_block
 
-    _fan_out(task, parts)
+    _fan_out(task, _parts(len(dx), step))
     return dx.reshape(g.shape)
 
 
@@ -747,6 +757,17 @@ def _batch_step(sample_bytes: int) -> int:
     return max(1, _COLUMN_BYTES // max(1, sample_bytes))
 
 
+def _chunk_parts(total: int, sample_bytes: int):
+    """(step, chunks): chunks of `step` samples whose column blocks fit in
+    _COLUMN_BYTES, as (rows, parts) with the chunk's samples cut into (lo, hi)
+    ranges of at least _PART_BYTES of columns, one per pool thread."""
+    step = _batch_step(sample_bytes)
+    per_part = max(1, _PART_BYTES // max(1, sample_bytes))
+    return step, [(rows, [(rows.start + lo, rows.start + hi)
+                          for lo, hi in _parts(rows.stop - rows.start, per_part)])
+                  for rows in _blocks(0, total, step)]
+
+
 def _im2col(win: np.ndarray, rows: slice, out: np.ndarray) -> np.ndarray:
     """Column block of samples `rows`, windows (B, F_in, C, T, K) -> (n, F_in*K, C*T),
     written into the first n entries of `out`."""
@@ -765,9 +786,10 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     zeros, so the output time length equals T; the channel axis is untouched.
     Each chunk of samples is lowered to an im2col column block and multiplied
     by the (F_out, F_in*K) kernel matrix, forward and backward. The chunks
-    are fanned out over the kernel pool, each part reusing one column buffer
-    the calling thread allocates; the weight gradient adds the per-chunk sums
-    in chunk order, so the values do not depend on the pool's size.
+    run in order through one column buffer the calling thread allocates;
+    the samples of a chunk are fanned out over the kernel pool. Each sample
+    is its own matrix product, and the weight gradient adds the per-chunk
+    sums in chunk order, so the values do not depend on the pool's size.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv_temporal expects rank-4 input, got shape {x.shape}")
@@ -784,17 +806,17 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     xpad[..., pad_l:pad_l + t] = x.data
     win = sliding_window_view(xpad, k, axis=3)  # (B, F_in, C, T, K)
     w = kernels.data.reshape(f_out, f_in * k)
-    step = _batch_step(f_in * k * c * t * xpad.itemsize)
-    parts = _parts(b_, step)
-    col_shape = (len(parts), min(step, b_), f_in * k, c * t)
+    step, chunks = _chunk_parts(b_, f_in * k * c * t * xpad.itemsize)
+    col_shape = (min(step, b_), f_in * k, c * t)
     data = np.empty((b_, f_out, c * t), dtype=np.result_type(xpad, w))
     cols = np.empty(col_shape, dtype=xpad.dtype)
 
-    def forward(i, lo, hi):
-        for rows in _blocks(lo, hi, step):
-            np.matmul(w, _im2col(win, rows, cols[i]), out=data[rows])
+    # a part (lo, hi) of a chunk uses rows lo % step onwards of its buffers
+    def forward(_, lo, hi):
+        np.matmul(w, _im2col(win, slice(lo, hi), cols[lo % step:]), out=data[lo:hi])
 
-    _fan_out(forward, parts)
+    for _, parts in chunks:
+        _fan_out(forward, parts)
     del cols
     data = data.reshape(b_, f_out, c, t)
     data += bias.data.reshape(1, f_out, 1, 1)
@@ -802,40 +824,37 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     def bw(g):
         gx = gw = gb = None
         g3 = g.reshape(b_, f_out, c * t)
-        # per part: column rows of the input gradient, the padded chunk they
-        # are added into, and the column block of the weight gradient
-        dtype = np.result_type(g, w)
         if x.requires_grad:
-            gx = np.empty(x.shape, dtype=dtype)
-            gcols = np.empty(col_shape, dtype=dtype)
-            gxpad = np.empty(col_shape[:2] + (f_in, c, t + k - 1), dtype=dtype)
+            # col2im: each kernel tap j adds its column rows back at time shift j
+            gx = np.empty(x.shape, dtype=np.result_type(g, w))
+            gcols = np.empty(col_shape, dtype=gx.dtype)
+            gxpad = np.empty((col_shape[0], f_in, c, t + k - 1), dtype=gx.dtype)
+
+            def grad_input(_, lo, hi):
+                n, at = hi - lo, lo % step
+                gcol = np.matmul(w.T, g3[lo:hi], out=gcols[at:at + n]).reshape(n, f_in, k, c, t)
+                pad = gxpad[at:at + n]
+                pad.fill(0)
+                for j in range(k):
+                    pad[..., j:j + t] += gcol[:, :, j]
+                gx[lo:hi] = pad[..., pad_l:pad_l + t]
+
+            for _, parts in chunks:
+                _fan_out(grad_input, parts)
+            del gcols, gxpad
         if kernels.requires_grad:
             cols = np.empty(col_shape, dtype=win.dtype)
-            prods = np.empty(col_shape[:2] + w.shape, dtype=np.result_type(g, win))
-            sums = np.empty((-(-b_ // step),) + w.shape, dtype=prods.dtype)
+            prods = np.empty((col_shape[0],) + w.shape, dtype=np.result_type(g, win))
+            gw = np.zeros(w.shape, dtype=prods.dtype)
 
-        def backward(i, lo, hi):
-            for rows in _blocks(lo, hi, step):
-                n = rows.stop - rows.start
-                if x.requires_grad:
-                    # col2im: each kernel tap j adds its column rows back at time shift j
-                    gcol = np.matmul(w.T, g3[rows], out=gcols[i, :n]).reshape(n, f_in, k, c, t)
-                    pad = gxpad[i, :n]
-                    pad.fill(0)
-                    for j in range(k):
-                        pad[..., j:j + t] += gcol[:, :, j]
-                    gx[rows] = pad[..., pad_l:pad_l + t]
-                if kernels.requires_grad:
-                    prod = np.matmul(g3[rows], _im2col(win, rows, cols[i]).transpose(0, 2, 1),
-                                     out=prods[i, :n])
-                    prod.sum(axis=0, out=sums[rows.start // step])
+            def grad_weight(_, lo, hi):
+                at = lo % step
+                np.matmul(g3[lo:hi], _im2col(win, slice(lo, hi), cols[at:]).transpose(0, 2, 1),
+                          out=prods[at:at + hi - lo])
 
-        if x.requires_grad or kernels.requires_grad:
-            _fan_out(backward, parts)
-        if kernels.requires_grad:
-            gw = np.zeros(w.shape, dtype=sums.dtype)
-            for chunk in sums:
-                gw += chunk
+            for rows, parts in chunks:
+                _fan_out(grad_weight, parts)
+                gw += prods[:rows.stop - rows.start].sum(axis=0)
             gw = gw.reshape(kernels.shape)
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
@@ -1008,10 +1027,10 @@ def _attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """softmax(q k^T) v over the last two axes of (B, H, S, dh) arrays, no graph.
 
     (batch, head) slices go in groups through a reused _SCORE_BYTES buffer,
-    one per part of the kernel pool, so the (B, H, S, S) scores never exist
-    at once. Each group runs the same per-slice matmuls and the same per-row
-    max, subtract, exp, sum and divide as `_softmax(q @ k^T) @ v`, so the
-    result is bit-identical to it.
+    one per part of the kernel pool (as many parts as fit in
+    _SCORE_SCRATCH_BYTES), so the (B, H, S, S) scores never exist at once. Each group runs the same
+    per-slice matmuls and the same per-row max, subtract, exp, sum and
+    divide as `_softmax(q @ k^T) @ v`, so the result is bit-identical to it.
     """
     b, h, s, dh = q.shape
     n = b * h
@@ -1019,7 +1038,7 @@ def _attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     score_dtype = np.result_type(q, k)
     ctx = np.empty((n, s, dh), dtype=np.result_type(score_dtype, v))
     step = max(1, _SCORE_BYTES // (s * s * score_dtype.itemsize))
-    parts = _parts(n, step)
+    parts = _parts(n, step, _SCORE_SCRATCH_BYTES // (step * s * s * score_dtype.itemsize))
     bufs = np.empty((len(parts), min(step, n), s, s), dtype=score_dtype)
     if dh == 1:
         # a score is the single product q_i * k_j, and rounding is monotone,

@@ -64,27 +64,29 @@ def _conv_temporal():
     return [out.data, *out._backward(_values(np.float32, out.shape, 15))]
 
 
-# kernel -> (run, _SCORE_BYTES, _COLUMN_BYTES): byte caps that cut each
-# case into more blocks than the largest pool has threads
+# kernel -> (run, byte caps): caps that cut each case into more blocks than
+# the largest pool has threads
+SAMPLE_COLS = 2 * 5 * 3 * 17 * 4  # column bytes of one sample of _conv_temporal
 CASES = {
-    "attention_core_dh1": (lambda: _attention_core(1), 2 * 20 * 20 * 4, None),
-    "attention_core_dh4": (lambda: _attention_core(4), 2 * 20 * 20 * 4, None),
-    "softmax": (_softmax, 4 * 3 * 13 * 4, None),
-    "dropout_dyadic": (lambda: _dropout(0.5), 16 * 8, None),
-    "dropout_words": (lambda: _dropout(0.3), 16 * 8, None),
-    "matmul": (lambda: _matmul((7, 3, 10, 6), (7, 3, 10, 6)), 3 * 10 * 10 * 4, None),
-    "matmul_outer": (lambda: _matmul((7, 3, 10, 1), (7, 3, 10, 1)), 3 * 10 * 10 * 4, None),
-    "conv_temporal": (_conv_temporal, None, 2 * (2 * 5 * 3 * 17 * 4)),  # 2 samples a chunk
+    "attention_core_dh1": (lambda: _attention_core(1), {"_SCORE_BYTES": 2 * 20 * 20 * 4}),
+    "attention_core_dh4": (lambda: _attention_core(4), {"_SCORE_BYTES": 2 * 20 * 20 * 4}),
+    "softmax": (_softmax, {"_SCORE_BYTES": 4 * 3 * 13 * 4}),
+    "dropout_dyadic": (lambda: _dropout(0.5), {"_SCORE_BYTES": 16 * 8}),
+    "dropout_words": (lambda: _dropout(0.3), {"_SCORE_BYTES": 16 * 8}),
+    "matmul": (lambda: _matmul((7, 3, 10, 6), (7, 3, 10, 6)), {"_SCORE_BYTES": 3 * 10 * 10 * 4}),
+    "matmul_outer": (lambda: _matmul((7, 3, 10, 1), (7, 3, 10, 1)),
+                     {"_SCORE_BYTES": 3 * 10 * 10 * 4}),
+    # chunks of 4 and 3 samples, one sample a part
+    "conv_temporal": (_conv_temporal, {"_COLUMN_BYTES": 4 * SAMPLE_COLS,
+                                       "_PART_BYTES": SAMPLE_COLS}),
 }
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_pooled_kernels_are_bit_identical_at_every_pool_size(monkeypatch, pool_size, case):
-    run, score_bytes, column_bytes = CASES[case]
-    if score_bytes is not None:
-        monkeypatch.setattr(tensor, "_SCORE_BYTES", score_bytes)
-    if column_bytes is not None:
-        monkeypatch.setattr(tensor, "_COLUMN_BYTES", column_bytes)
+    run, caps = CASES[case]
+    for name, value in caps.items():
+        monkeypatch.setattr(tensor, name, value)
     fan_out, widths = tensor._fan_out, []
 
     def spy(task, parts):

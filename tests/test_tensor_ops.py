@@ -31,6 +31,14 @@ from patchformer.tensor import (
 import oracles
 
 
+@pytest.fixture
+def pool_sizes():
+    """Kernel pool sizes a memory bound must hold at, larger than most
+    hosts' CPU counts; the default size is restored afterwards."""
+    yield (1, 2, 4, 8)
+    tensor.set_pool_threads(tensor.cpu_count())
+
+
 def t4(values):
     return Tensor(np.asarray(values, dtype=np.float64).reshape(1, 1, 1, -1))
 
@@ -322,18 +330,20 @@ class TestSoftmax:
             self._assert_bit_identical(self._forward_backward(a, axis, ga),
                                        oracles.softmax_composite(a, axis, ga))
 
-    def test_backward_holds_no_full_size_temporary(self):
+    def test_backward_holds_no_full_size_temporary(self, pool_sizes):
         x = np.random.default_rng(0).normal(size=(32, 128, 256))  # 8 MiB of float64
         g = np.random.default_rng(1).normal(size=x.shape)
         out = softmax(Tensor(x, requires_grad=True))
-        tracemalloc.start()
-        try:
-            (dx,) = out._backward(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the result, one block buffer and the per-row sums of one block
-        assert peak < dx.nbytes + 2 * tensor._SCORE_BYTES
+        for size in pool_sizes:
+            tensor.set_pool_threads(size)
+            tracemalloc.start()
+            try:
+                (dx,) = out._backward(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the result and the per-row sums of each part's block
+            assert peak < dx.nbytes + 2 * tensor._SCORE_BYTES, size
 
 
 class TestMatmul:
@@ -581,20 +591,22 @@ class TestAttention:
             multi_head_attention(Tensor(np_rng.normal(size=(3, 8))), 2,
                                  *self._params(np_rng, 8), dropout_p=p, mode=mode)
 
-    def test_no_graph_attention_keeps_no_score_array(self, np_rng):
+    def test_no_graph_attention_keeps_no_score_array(self, np_rng, pool_sizes):
         # the reference shape: 264 tokens, 32 heads of width 1; one
         # (4, 32, 264, 264) float32 score array is 34 MiB
         x = Tensor(np_rng.normal(size=(4, 264, 32)).astype(np.float32))
         params = [Tensor(p.data.astype(np.float32)) for p in self._params(np_rng, 32)]
-        tracemalloc.start()
-        try:
-            with tensor.no_grad():
-                out = multi_head_attention(x, 32, *params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (4, 264, 32)
-        assert peak < 4 * 32 * 264 * 264 * 4 // 8
+        for size in pool_sizes:
+            tensor.set_pool_threads(size)
+            tracemalloc.start()
+            try:
+                with tensor.no_grad():
+                    out = multi_head_attention(x, 32, *params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.shape == (4, 264, 32)
+            assert peak < 4 * 32 * 264 * 264 * 4 // 8, size
 
     def test_head_divisibility(self, np_rng):
         with pytest.raises(ConfigurationError):
@@ -763,10 +775,11 @@ def test_short_axis_mean_is_bit_identical_to_numpy(dtype, n):
     np.testing.assert_array_equal(xt.grad, np.broadcast_to(g[..., None], a.shape).copy() / n)
 
 
-def test_conv_temporal_memory_grows_with_the_batch_by_arrays_not_columns(monkeypatch):
+def test_conv_temporal_memory_grows_with_the_batch_by_arrays_not_columns(monkeypatch, pool_sizes):
     f_in, c, t, k, f_out = 2, 4, 256, 33, 2
     sample_cols = f_in * k * c * t * 4
     monkeypatch.setattr(tensor, "_COLUMN_BYTES", 2 * sample_cols)
+    monkeypatch.setattr(tensor, "_PART_BYTES", sample_cols)  # a chunk's samples fan out
 
     def peak(b):
         rng = np.random.default_rng(b)
@@ -780,10 +793,12 @@ def test_conv_temporal_memory_grows_with_the_batch_by_arrays_not_columns(monkeyp
         finally:
             tracemalloc.stop()
 
-    per_sample = (peak(20) - peak(4)) / 16
     # output, cotangent, padded input and input gradient, a few times over
     arrays = 6 * max(f_in, f_out) * c * (t + k - 1) * 4
-    assert per_sample < arrays < sample_cols / 2
+    for size in pool_sizes:
+        tensor.set_pool_threads(size)
+        per_sample = (peak(20) - peak(4)) / 16
+        assert per_sample < arrays < sample_cols / 2, size
 
 
 class _Mallinfo2(ctypes.Structure):
