@@ -24,6 +24,7 @@ from .rng import Rng
 from .tensor import (
     BatchNormState,
     Tensor,
+    _conv_block,
     avg_pool_time,
     batch_norm,
     concat,
@@ -34,6 +35,7 @@ from .tensor import (
     leaky_relu,
     linear,
     multi_head_attention,
+    recording,
     relu,
     sliding_windows,
     split,
@@ -184,26 +186,34 @@ class PatchFormerModel:
 
     # -- forward stages ------------------------------------------------------
 
+    def _conv_stage(self, x: Tensor, prefix: str, pool: int, mode: str) -> Tensor:
+        """conv_temporal -> batch norm -> LeakyReLU -> pool of length and step
+        `pool`, with the weights named `prefix`. An eval-mode call that records
+        no graph runs them as one pooled pass, `tensor._conv_block`, which
+        gives the same values without the full-size activations."""
+        w = self.parameters
+        kernels, bias, bn = w[f"{prefix}.kernels"], w[f"{prefix}.bias"], self._bn(f"{prefix}.bn")
+        if mode == "eval" and not recording(x, kernels, bias, bn.gamma, bn.beta):
+            return Tensor(_conv_block(x, kernels, bias, bn, self.config.leaky_slope, pool))
+        z = conv_temporal(x, kernels, bias)
+        z = batch_norm(z, bn, mode)
+        z = leaky_relu(z, self.config.leaky_slope)
+        return avg_pool_time(z, pool, pool)
+
     def temporal_cnn(self, x: Tensor, mode: str = "eval") -> Tensor:
-        """(B, 1, c, l) -> (B, k, c, l/4)."""
+        """(B, 1, c, l) -> (B, k, c, l/4). Without a graph, in eval mode, it
+        is one pooled pass (see `_conv_stage`)."""
         cfg = self.config
         if x.ndim != 4 or x.shape[1] != 1 or x.shape[2] != cfg.c or x.shape[3] != cfg.l:
             raise ShapeError(f"expected input (B, 1, {cfg.c}, {cfg.l}), got {x.shape}")
-        w = self.parameters
-        z = conv_temporal(x, w["tcnn.kernels"], w["tcnn.bias"])
-        z = batch_norm(z, self._bn("tcnn.bn"), mode)
-        z = leaky_relu(z, cfg.leaky_slope)
-        return avg_pool_time(z, 4, 4)
+        return self._conv_stage(x, "tcnn", 4, mode)
 
     def feature_enhance(self, x: Tensor, mode: str = "eval") -> Tensor:
-        """(B, k, c, l/4) -> (B, k, c, l/8): 1x1 feature-map mixing, pool 2."""
+        """(B, k, c, l/4) -> (B, k, c, l/8): 1x1 feature-map mixing, pool 2.
+        Without a graph, in eval mode, it is one pooled pass (see `_conv_stage`)."""
         if not self.config.has_fem:
             raise ConfigurationError("model was built without the feature-enhancement stage")
-        w = self.parameters
-        z = conv_temporal(x, w["fem.kernels"], w["fem.bias"])
-        z = batch_norm(z, self._bn("fem.bn"), mode)
-        z = leaky_relu(z, self.config.leaky_slope)
-        return avg_pool_time(z, 2, 2)
+        return self._conv_stage(x, "fem", 2, mode)
 
     def spm_local_filter(self, x: Tensor) -> Tensor:
         """(B, k, c, T) -> (B, c, k*T): elementwise gate W .* z - b under ReLU."""

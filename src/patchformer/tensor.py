@@ -195,6 +195,12 @@ def no_grad():
         _grad_enabled = saved
 
 
+def recording(*tensors) -> bool:
+    """Whether an op on `tensors` records a graph: outside `no_grad`, when
+    any of them requires grad."""
+    return _grad_enabled and any(t.requires_grad for t in tensors)
+
+
 # Trailing axes shorter than this are averaged slice by slice. numpy reduces
 # fewer than 8 elements in the same left-to-right order, so the result is
 # bit-identical; from 8 on it switches to pairwise summation.
@@ -221,10 +227,16 @@ _SCORE_BYTES = 1 << 20
 _SCORE_SCRATCH_BYTES = 3 << 20
 
 
-def _short_axis_mean(a: np.ndarray) -> np.ndarray:
-    """Mean over the short last axis of `a`, one strided slice at a time."""
+def _short_axis_mean(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Mean over the short last axis of `a`, one strided slice at a time,
+    into `out` when given."""
     n = a.shape[-1]
-    out = a[..., 0] + a[..., 1] if n > 1 else a[..., 0].copy()
+    if n > 1:
+        out = np.add(a[..., 0], a[..., 1], out=out)
+    elif out is None:
+        out = a[..., 0].copy()
+    else:
+        out[...] = a[..., 0]
     for j in range(2, n):
         out += a[..., j]
     out /= n
@@ -304,7 +316,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+        out.requires_grad = recording(*parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward
@@ -547,9 +559,13 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._from_op(data, (x,), bw)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
+def _check_slope(slope: float) -> None:
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
+
+
+def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
+    _check_slope(slope)
     s = x.data.dtype.type(slope)
     data = np.maximum(x.data, s * x.data)  # s * x <= x exactly where x >= 0
 
@@ -711,14 +727,18 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._from_op(data, tensors, bw)
 
 
-def sliding_windows(x: Tensor, size: int, step: int) -> Tensor:
-    """Strided windows over the last axis: (..., T) -> (..., n, size)."""
+def _windows(size: int, step: int, t: int) -> int:
+    """Number of windows of `size` every `step` along an axis of length t."""
     if size < 1 or step < 1:
         raise ValueError(f"window size and step must be >= 1, got ({size}, {step})")
-    t = x.shape[-1]
     if size > t:
         raise ShapeError(f"window size {size} exceeds axis length {t}")
-    n = (t - size) // step + 1
+    return (t - size) // step + 1
+
+
+def sliding_windows(x: Tensor, size: int, step: int) -> Tensor:
+    """Strided windows over the last axis: (..., T) -> (..., n, size)."""
+    n = _windows(size, step, x.shape[-1])
     starts = np.arange(n) * step
     # a copy even when the windows tile the axis and the view is contiguous
     data = sliding_window_view(x.data, size, axis=-1)[..., ::step, :].copy()
@@ -757,25 +777,85 @@ def _batch_step(sample_bytes: int) -> int:
     return max(1, _COLUMN_BYTES // max(1, sample_bytes))
 
 
-def _chunk_parts(total: int, sample_bytes: int):
-    """(step, chunks): chunks of `step` samples whose column blocks fit in
-    _COLUMN_BYTES, as (rows, parts) with the chunk's samples cut into (lo, hi)
-    ranges of at least _PART_BYTES of columns, one per pool thread."""
+def _chunk_parts(win: np.ndarray):
+    """(step, chunks, col_shape) of a convolution over windows (B, F_in, C, T, K):
+    chunks of `step` samples whose column blocks fit in _COLUMN_BYTES, as
+    (rows, parts) with the chunk's samples cut into (lo, hi) ranges of at
+    least _PART_BYTES of columns, one per pool thread; `col_shape` is one
+    chunk's column block."""
+    b, f_in, c, t, k = win.shape
+    sample_bytes = f_in * k * c * t * win.itemsize
     step = _batch_step(sample_bytes)
     per_part = max(1, _PART_BYTES // max(1, sample_bytes))
-    return step, [(rows, [(rows.start + lo, rows.start + hi)
-                          for lo, hi in _parts(rows.stop - rows.start, per_part)])
-                  for rows in _blocks(0, total, step)]
+    chunks = [(rows, [(rows.start + lo, rows.start + hi)
+                      for lo, hi in _parts(rows.stop - rows.start, per_part)])
+              for rows in _blocks(0, b, step)]
+    return step, chunks, (min(step, b), f_in * k, c * t)
 
 
-def _im2col(win: np.ndarray, rows: slice, out: np.ndarray) -> np.ndarray:
-    """Column block of samples `rows`, windows (B, F_in, C, T, K) -> (n, F_in*K, C*T),
-    written into the first n entries of `out`."""
-    part = win[rows]
+def _conv_windows(x: np.ndarray, k: int) -> np.ndarray:
+    """Windows (B, F_in, C, T, K) of x (B, F_in, C, T) padded in time with
+    floor((K-1)/2) leading and ceil((K-1)/2) trailing zeros; at K = 1 there
+    is no padding, and the windows are a view of x."""
+    if k > 1:
+        pad_l = (k - 1) // 2
+        xpad = np.zeros(x.shape[:3] + (x.shape[3] + k - 1,), dtype=x.dtype)
+        xpad[..., pad_l:pad_l + x.shape[3]] = x
+        x = xpad
+    return sliding_window_view(x, k, axis=3)
+
+
+def _im2col(win: np.ndarray, lo: int, hi: int, buf: np.ndarray | None) -> np.ndarray:
+    """Column block (hi - lo, F_in*K, C*T) of samples lo:hi, windows (B, F_in, C, T, K).
+    At K = 1 it is a view of the input; else a copy into rows lo % len(buf)
+    onwards of `buf`, the chunk's column buffer."""
+    part = win[lo:hi]
     n, f_in, c, t, k = part.shape
-    cols = out[:n]
+    if k == 1:
+        return part.reshape(n, f_in, c * t)
+    cols = buf[lo % len(buf):][:n]
     cols.reshape(n, f_in, k, c, t)[...] = part.transpose(0, 1, 4, 2, 3)
     return cols
+
+
+def _column_buffer(win: np.ndarray, col_shape: tuple) -> np.ndarray | None:
+    """The column buffer _im2col copies into; None at K = 1, which needs none."""
+    return np.empty(col_shape, dtype=win.dtype) if win.shape[-1] > 1 else None
+
+
+def _conv_forward(win: np.ndarray, w: np.ndarray, epilogue=None) -> np.ndarray | None:
+    """w @ the column block of every sample of windows (B, F_in, C, T, K), w
+    (F_out, F_in*K): chunk by chunk through one column buffer, the samples of
+    each chunk fanned out over the kernel pool, one matrix product each.
+    Without `epilogue`, returns the (B, F_out, C*T) products. With it, a
+    part's products go to its rows of one chunk buffer, where
+    epilogue(o, lo) consumes those of samples lo:lo + len(o); returns None."""
+    b, _, c, t, _ = win.shape
+    step, chunks, col_shape = _chunk_parts(win)
+    cols = _column_buffer(win, col_shape)
+    out = np.empty((b if epilogue is None else col_shape[0], w.shape[0], c * t),
+                   dtype=np.result_type(win, w))
+
+    def task(_, lo, hi):
+        o = out[lo:hi] if epilogue is None else out[lo % step:][:hi - lo]
+        np.matmul(w, _im2col(win, lo, hi, cols), out=o)
+        if epilogue is not None:
+            epilogue(o, lo)
+
+    for _, parts in chunks:
+        _fan_out(task, parts)
+    return out if epilogue is None else None
+
+
+def _check_conv_temporal(x, kernels, bias) -> None:
+    if x.ndim != 4:
+        raise ShapeError(f"conv_temporal expects rank-4 input, got shape {x.shape}")
+    if kernels.ndim != 4 or kernels.shape[2] != 1:
+        raise ShapeError(f"conv_temporal kernels must be (F_out, F_in, 1, K), got {kernels.shape}")
+    if kernels.shape[1] != x.shape[1]:
+        raise ShapeError(f"kernel F_in {kernels.shape[1]} != input F_in {x.shape[1]}")
+    if bias.shape != (kernels.shape[0],):
+        raise ShapeError(f"bias shape {bias.shape} != ({kernels.shape[0]},)")
 
 
 def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -784,41 +864,22 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     x (B, F_in, C, T), kernels (F_out, F_in, 1, K), bias (F_out,).
     Time is padded with floor((K-1)/2) leading and ceil((K-1)/2) trailing
     zeros, so the output time length equals T; the channel axis is untouched.
-    Each chunk of samples is lowered to an im2col column block and multiplied
-    by the (F_out, F_in*K) kernel matrix, forward and backward. The chunks
-    run in order through one column buffer the calling thread allocates;
-    the samples of a chunk are fanned out over the kernel pool. Each sample
-    is its own matrix product, and the weight gradient adds the per-chunk
-    sums in chunk order, so the values do not depend on the pool's size.
+    Each chunk of samples is lowered to an im2col column block (at K = 1,
+    x itself) and multiplied by the (F_out, F_in*K) kernel matrix, forward
+    and backward. The chunks run in order through one column buffer the
+    calling thread allocates; the samples of a chunk are fanned out over the
+    kernel pool. Each sample is its own matrix product, and the weight
+    gradient adds the per-chunk sums in chunk order, so the values do not
+    depend on the pool's size.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"conv_temporal expects rank-4 input, got shape {x.shape}")
-    if kernels.ndim != 4 or kernels.shape[2] != 1:
-        raise ShapeError(f"conv_temporal kernels must be (F_out, F_in, 1, K), got {kernels.shape}")
+    _check_conv_temporal(x, kernels, bias)
     b_, f_in, c, t = x.shape
-    f_out, kf_in, _, k = kernels.shape
-    if kf_in != f_in:
-        raise ShapeError(f"kernel F_in {kf_in} != input F_in {f_in}")
-    if bias.shape != (f_out,):
-        raise ShapeError(f"bias shape {bias.shape} != ({f_out},)")
+    f_out, _, _, k = kernels.shape
     pad_l = (k - 1) // 2
-    xpad = np.zeros((b_, f_in, c, t + k - 1), dtype=x.data.dtype)
-    xpad[..., pad_l:pad_l + t] = x.data
-    win = sliding_window_view(xpad, k, axis=3)  # (B, F_in, C, T, K)
+    win = _conv_windows(x.data, k)
     w = kernels.data.reshape(f_out, f_in * k)
-    step, chunks = _chunk_parts(b_, f_in * k * c * t * xpad.itemsize)
-    col_shape = (min(step, b_), f_in * k, c * t)
-    data = np.empty((b_, f_out, c * t), dtype=np.result_type(xpad, w))
-    cols = np.empty(col_shape, dtype=xpad.dtype)
-
-    # a part (lo, hi) of a chunk uses rows lo % step onwards of its buffers
-    def forward(_, lo, hi):
-        np.matmul(w, _im2col(win, slice(lo, hi), cols[lo % step:]), out=data[lo:hi])
-
-    for _, parts in chunks:
-        _fan_out(forward, parts)
-    del cols
-    data = data.reshape(b_, f_out, c, t)
+    step, chunks, col_shape = _chunk_parts(win)
+    data = _conv_forward(win, w).reshape(b_, f_out, c, t)
     data += bias.data.reshape(1, f_out, 1, 1)
 
     def bw(g):
@@ -843,13 +904,13 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
                 _fan_out(grad_input, parts)
             del gcols, gxpad
         if kernels.requires_grad:
-            cols = np.empty(col_shape, dtype=win.dtype)
+            cols = _column_buffer(win, col_shape)
             prods = np.empty((col_shape[0],) + w.shape, dtype=np.result_type(g, win))
             gw = np.zeros(w.shape, dtype=prods.dtype)
 
             def grad_weight(_, lo, hi):
                 at = lo % step
-                np.matmul(g3[lo:hi], _im2col(win, slice(lo, hi), cols[at:]).transpose(0, 2, 1),
+                np.matmul(g3[lo:hi], _im2col(win, lo, hi, cols).transpose(0, 2, 1),
                           out=prods[at:at + hi - lo])
 
             for rows, parts in chunks:
@@ -924,6 +985,21 @@ class BatchNormState:
     momentum: float = 0.1
 
 
+def _check_gamma(bn: BatchNormState, f: int) -> None:
+    if bn.gamma.shape != (f,):
+        raise ShapeError(f"gamma shape {bn.gamma.shape} != ({f},)")
+
+
+def _running_affine(bn: BatchNormState) -> tuple:
+    """Eval-mode batch norm as x * scale + shift per feature map:
+    (mean, inv, scale, shift), where mean is a copy of the running mean (a
+    later train-mode call updates it in place) and inv = 1 / sqrt(var + eps)."""
+    mean = bn.running_mean.copy()
+    inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+    scale = bn.gamma.data * inv
+    return mean, inv, scale, bn.beta.data - mean * scale
+
+
 def batch_norm(x: Tensor, bn: BatchNormState, mode: str = "train") -> Tensor:
     """Normalize per feature map over (B, C, T); x is (B, F, C, T).
 
@@ -936,8 +1012,7 @@ def batch_norm(x: Tensor, bn: BatchNormState, mode: str = "train") -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects rank-4 input, got shape {x.shape}")
     b, f, c, t = x.shape
-    if bn.gamma.shape != (f,):
-        raise ShapeError(f"gamma shape {bn.gamma.shape} != ({f},)")
+    _check_gamma(bn, f)
     x3 = x.data.reshape(b, f, c * t)
     gamma = bn.gamma.data
     n = b * c * t
@@ -975,11 +1050,9 @@ def batch_norm(x: Tensor, bn: BatchNormState, mode: str = "train") -> Tensor:
 
         return Tensor._from_op(out.reshape(x.shape), (x, bn.gamma, bn.beta), bw)
 
-    running_mean = bn.running_mean.copy()  # a later train-mode call updates it in place
-    inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
-    scale = gamma * inv
+    running_mean, inv, scale, shift = _running_affine(bn)
     out = x3 * scale[:, None]
-    out += (bn.beta.data - running_mean * scale)[:, None]
+    out += shift[:, None]
 
     def bw(g):
         # xhat is recomputed here rather than held by the graph
@@ -1016,6 +1089,63 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         return dx, dgamma, dbeta
 
     return Tensor._from_op(data, (x, gamma, beta), bw)
+
+
+# ---------------------------------------------------------------------------
+# no-graph kernels
+# ---------------------------------------------------------------------------
+
+
+def _conv_block(x: Tensor, kernels: Tensor, bias: Tensor, bn: BatchNormState,
+                slope: float, pool: int) -> np.ndarray:
+    """conv_temporal -> batch_norm(mode="eval") -> leaky_relu(slope) ->
+    avg_pool_time(pool, pool) of x (B, F_in, C, T), no graph: (B, F, C, T // pool).
+
+    The convolution walks its chunks as `conv_temporal` does. Each part's
+    products are finished in the chunk buffer, a block of (sample, feature
+    map) rows (at most _SCORE_BYTES) at a time, while still in cache: + bias,
+    * scale, + shift, LeakyReLU, then a reshape-mean written straight into
+    the pooled result. So the (B, F, C, T) activations and the pool's window
+    copy never exist; scratch is one column block, one chunk of products and
+    one block's LeakyReLU temporary a part. Each sample is one matrix product
+    over all C*T columns, and the elementwise ops are the composite ops' own,
+    in their order and dtypes (the model's parameters and buffers share one
+    dtype), so the result is bit-identical to theirs for pools shorter than
+    _SHORT_AXIS (the model's are 4 and 2; from 8 on `Tensor.mean` sums
+    pairwise). Shape errors are theirs too.
+    """
+    _check_conv_temporal(x, kernels, bias)
+    b, f_in, c, t = x.shape
+    f_out, _, _, k = kernels.shape
+    _check_gamma(bn, f_out)
+    _check_slope(slope)
+    n = _windows(pool, pool, t)
+    _, _, scale, shift = _running_affine(bn)
+    # per (sample, feature map) row: its feature's bias, scale and shift
+    row_bias, row_scale, row_shift = (np.tile(a, b).reshape(b * f_out, 1)
+                                      for a in (bias.data, scale, shift))
+    win = _conv_windows(x.data, k)
+    w = kernels.data.reshape(f_out, f_in * k)
+    dtype = np.result_type(win, w)
+    s = dtype.type(slope)
+    pooled = np.empty((b, f_out, c, n), dtype=dtype)
+    pooled_rows = pooled.reshape(b * f_out, c, n)
+    step = _row_step(c * t * dtype.itemsize)
+
+    def epilogue(o, lo):
+        o = o.reshape(-1, c * t)
+        for block in _blocks(0, len(o), step):
+            rows = slice(lo * f_out + block.start, lo * f_out + block.stop)
+            z = o[block]
+            z += row_bias[rows]
+            z *= row_scale[rows]
+            z += row_shift[rows]
+            np.maximum(z, s * z, out=z)
+            windows = z.reshape(-1, c, t)[..., :n * pool].reshape(-1, c, n, pool)
+            _short_axis_mean(windows, pooled_rows[rows])
+
+    _conv_forward(win, w, epilogue)
+    return pooled
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,26 @@ def small_loso_config():
     )
 
 
+@pytest.fixture
+def front_end_state():
+    """set(model, seed): random running statistics, gamma, beta and
+    convolution bias for the front end's batch-norm blocks, so an eval
+    forward is not the identity normalization of a new model."""
+
+    def set_state(model, seed):
+        rng = np.random.default_rng(seed)
+        for prefix in ("tcnn", "fem"):
+            if f"{prefix}.bias" not in model.parameters:
+                continue
+            k = model.config.k
+            model.buffers[f"{prefix}.bn.running_mean"][:] = rng.normal(size=k)
+            model.buffers[f"{prefix}.bn.running_var"][:] = rng.uniform(0.25, 4.0, size=k)
+            for name in ("bias", "bn.gamma", "bn.beta"):
+                model.parameters[f"{prefix}.{name}"].data[:] = rng.normal(size=k)
+
+    return set_state
+
+
 @pytest.fixture(scope="session")
 def high_snr_dataset():
     return synth_generate(3, 12, 6, 160, 40.0, SynthEffect(amplitude=3.0), Rng(21))

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from patchformer import model as model_module
 from patchformer.checkpoint import load_model, save_model
 from patchformer.config import (
     ABLATIONS,
@@ -19,6 +20,7 @@ from patchformer.errors import ConfigurationError, DataFormatError, ShapeError
 from patchformer.model import aggregate, buffer_shapes, build, param_count, parameter_shapes
 from patchformer.rng import Rng
 from patchformer.tensor import Tensor, no_grad, pack, softmax
+from patchformer.train import predict_proba
 
 import oracles
 
@@ -188,6 +190,25 @@ class TestStageShapes:
         with no_grad():
             blocked = model.forward(x, mode="eval")
         np.testing.assert_array_equal(blocked.data, recorded.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ["small", "reference"])
+    def test_pooled_front_end_predicts_the_composite_probabilities(
+            self, monkeypatch, front_end_state, small_loso_config, shape, dtype):
+        # batches of 16 and 1; the composite front end runs when the model
+        # is told a graph would be recorded (the ops themselves record none)
+        config, ablations = ((small_loso_config, ABLATIONS) if shape == "small"
+                             else (reference_config(), ("full",)))
+        x = np.random.default_rng(7).normal(size=(17, config.c, config.l))
+        for ablation in ablations:
+            model = build(replace(config, ablation=ablation), Rng(8), dtype=dtype)
+            front_end_state(model, 9)
+            pooled = predict_proba(model, x, 16)
+            with monkeypatch.context() as m:
+                m.setattr(model_module, "recording", lambda *tensors: True)
+                composite = predict_proba(model, x, 16)
+            assert pooled.dtype == composite.dtype == dtype
+            assert pooled.tobytes() == composite.tobytes(), ablation
 
     def test_wrong_input_rank(self, tiny_config, np_rng):
         model = build(tiny_config, Rng(3))

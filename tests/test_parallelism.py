@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ import pytest
 
 import patchformer
 from patchformer import tensor
+from patchformer.config import ABLATIONS, reference_config
+from patchformer.model import build
 from patchformer.rng import Rng
-from patchformer.tensor import Tensor, conv_temporal, dropout, softmax
+from patchformer.tensor import BatchNormState, Tensor, conv_temporal, dropout, no_grad, softmax
 
 POOL_SIZES = (1, 2, 3)  # 3 cuts the blocks unevenly
 
@@ -57,16 +60,29 @@ def _matmul(a_shape, b_shape):
     return [out.data, *out._backward(_values(np.float32, out.shape, 11))]
 
 
-def _conv_temporal():
-    x, w, bias = (Tensor(_values(np.float32, shape, seed), requires_grad=True)
-                  for shape, seed in (((7, 2, 3, 17), 12), ((4, 2, 1, 5), 13), ((4,), 14)))
-    out = conv_temporal(x, w, bias)
+def _conv_inputs(k):
+    return [Tensor(_values(np.float32, shape, seed), requires_grad=True)
+            for shape, seed in (((7, 2, 3, 17), 12), ((4, 2, 1, k), 13), ((4,), 14))]
+
+
+def _conv_temporal(k):
+    out = conv_temporal(*_conv_inputs(k))
     return [out.data, *out._backward(_values(np.float32, out.shape, 15))]
+
+
+def _conv_block(k):
+    rng = np.random.default_rng(16)
+    bn = BatchNormState(*(Tensor(rng.normal(size=4).astype(np.float32)) for _ in range(2)),
+                        rng.normal(size=4).astype(np.float32),
+                        rng.uniform(0.5, 2.0, size=4).astype(np.float32))
+    return [tensor._conv_block(*_conv_inputs(k), bn, 0.01, 3)]
 
 
 # kernel -> (run, byte caps): caps that cut each case into more blocks than
 # the largest pool has threads
-SAMPLE_COLS = 2 * 5 * 3 * 17 * 4  # column bytes of one sample of _conv_temporal
+SAMPLE_COLS = 2 * 5 * 3 * 17 * 4  # column bytes of one sample of a conv case at K = 5
+CONV_CAPS = {k: {"_COLUMN_BYTES": 4 * SAMPLE_COLS * k // 5, "_PART_BYTES": SAMPLE_COLS * k // 5}
+             for k in (1, 5)}  # chunks of 4 and 3 samples, one sample a part
 CASES = {
     "attention_core_dh1": (lambda: _attention_core(1), {"_SCORE_BYTES": 2 * 20 * 20 * 4}),
     "attention_core_dh4": (lambda: _attention_core(4), {"_SCORE_BYTES": 2 * 20 * 20 * 4}),
@@ -76,9 +92,10 @@ CASES = {
     "matmul": (lambda: _matmul((7, 3, 10, 6), (7, 3, 10, 6)), {"_SCORE_BYTES": 3 * 10 * 10 * 4}),
     "matmul_outer": (lambda: _matmul((7, 3, 10, 1), (7, 3, 10, 1)),
                      {"_SCORE_BYTES": 3 * 10 * 10 * 4}),
-    # chunks of 4 and 3 samples, one sample a part
-    "conv_temporal": (_conv_temporal, {"_COLUMN_BYTES": 4 * SAMPLE_COLS,
-                                       "_PART_BYTES": SAMPLE_COLS}),
+    "conv_temporal": (lambda: _conv_temporal(5), CONV_CAPS[5]),
+    "conv_temporal_k1": (lambda: _conv_temporal(1), CONV_CAPS[1]),
+    "conv_block": (lambda: _conv_block(5), CONV_CAPS[5]),
+    "conv_block_k1": (lambda: _conv_block(1), CONV_CAPS[1]),
 }
 
 
@@ -111,6 +128,36 @@ def test_pooled_kernels_are_bit_identical_at_every_pool_size(monkeypatch, pool_s
             assert got.tobytes() == want.tobytes()
     kernel_threads = [t for t in threading.enumerate() if t.name.startswith("patchformer-kernel")]
     assert len(kernel_threads) <= POOL_SIZES[-1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", ["small", "reference"])
+def test_pooled_front_end_blocks_equal_the_recorded_ops(pool_size, front_end_state,
+                                                        small_loso_config, shape, dtype):
+    """temporal_cnn and feature_enhance without a graph (one pooled pass
+    each) give the bytes of the recorded composite ops, at every pool size."""
+    config, ablations = ((small_loso_config, ABLATIONS) if shape == "small"
+                         else (reference_config(), ("full",)))
+    for ablation in ablations:
+        model = build(replace(config, ablation=ablation), Rng(5), dtype=dtype)
+        front_end_state(model, 6)
+        for b in (1, 2, 3, 16):
+            x = np.random.default_rng(b).normal(size=(b, 1, config.c, config.l))
+            x = Tensor(x.astype(dtype))
+            stages = [model.temporal_cnn] + ([model.feature_enhance] if model.config.has_fem else [])
+            recorded = [x]
+            for stage in stages:
+                recorded.append(stage(recorded[-1]))
+                assert recorded[-1].requires_grad
+            for size in POOL_SIZES:
+                pool_size(size)
+                z = x
+                for stage, want in zip(stages, recorded[1:]):
+                    with no_grad():
+                        z = stage(z)
+                    assert not z.requires_grad
+                    assert z.dtype == want.dtype and z.shape == want.shape
+                    assert z.data.tobytes() == want.data.tobytes(), (ablation, b, size, stage)
 
 
 def _softmax_in_child(conn, x):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchformer import tensor
+from patchformer.config import reference_config
 from patchformer.errors import ConfigurationError, ShapeError
+from patchformer.model import build
 from patchformer.rng import Rng
 from patchformer.tensor import (
     BatchNormState,
@@ -248,6 +250,56 @@ class TestBatchNorm:
         expected = gamma * (-rm) / np.sqrt(rv + bn.eps) + beta
         np.testing.assert_allclose(out, expected.reshape(1, 3, 1, 1) *
                                    np.ones((2, 3, 4, 5)), rtol=1e-6)
+
+
+def _conv_block_inputs(dtype, k=5, t=23):
+    rng = np.random.default_rng(k)
+    x, kernels, bias, gamma, beta = (Tensor(rng.normal(size=shape).astype(dtype)) for shape in (
+        (3, 2, 4, t), (5, 2, 1, k), (5,), (5,), (5,)))
+    bn = BatchNormState(gamma, beta, rng.normal(size=5).astype(dtype),
+                        rng.uniform(0.5, 2.0, size=5).astype(dtype))
+    return x, kernels, bias, bn
+
+
+def _composite_block(x, kernels, bias, bn, slope, pool):
+    z = batch_norm(conv_temporal(x, kernels, bias), bn, "eval")
+    return avg_pool_time(leaky_relu(z, slope), pool, pool).data
+
+
+class TestConvBlock:
+    """The no-graph front-end block against the ops it fuses."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("pool", [1, 2, 3, 4, 7])
+    def test_bit_identical_to_the_composite_ops(self, dtype, k, pool):
+        args = _conv_block_inputs(dtype, k)
+        want = _composite_block(*args, 0.01, pool)
+        got = tensor._conv_block(*args, 0.01, pool)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", ["pool_over_t", "pool_0", "slope", "gamma", "bias", "f_in"])
+    def test_raises_the_composite_ops_errors(self, bad):
+        x, kernels, bias, bn = _conv_block_inputs(np.float32)
+        slope, pool = 0.01, 2
+        if bad == "pool_over_t":
+            pool = 24
+        elif bad == "pool_0":
+            pool = 0
+        elif bad == "slope":
+            slope = 1.0
+        elif bad == "gamma":
+            bn.gamma = Tensor(np.ones(4, dtype=np.float32))
+        elif bad == "bias":
+            bias = Tensor(np.ones(4, dtype=np.float32))
+        else:
+            x = Tensor(np.ones((3, 1, 4, 23), dtype=np.float32))
+        with pytest.raises((ShapeError, ValueError)) as composite:
+            _composite_block(x, kernels, bias, bn, slope, pool)
+        with pytest.raises(type(composite.value)) as fused:
+            tensor._conv_block(x, kernels, bias, bn, slope, pool)
+        assert str(fused.value) == str(composite.value)
 
 
 class TestActivations:
@@ -799,6 +851,48 @@ def test_conv_temporal_memory_grows_with_the_batch_by_arrays_not_columns(monkeyp
         tensor.set_pool_threads(size)
         per_sample = (peak(20) - peak(4)) / 16
         assert per_sample < arrays < sample_cols / 2, size
+
+
+def test_conv_temporal_reads_its_k1_columns_in_place():
+    # a 1x1 convolution multiplies its input itself: no padded or im2col copy
+    x = np.random.default_rng(0).normal(size=(5, 3, 2, 7))
+    cols = tensor._im2col(tensor._conv_windows(x, 1), 1, 4, None)
+    assert np.shares_memory(cols, x)
+    np.testing.assert_array_equal(cols, x[1:4].reshape(3, 3, 14))
+
+
+def test_no_graph_reference_conv_block_holds_no_full_size_activation(pool_sizes):
+    cfg = reference_config()
+    model = build(cfg, Rng(0))
+    f, c, t, k = cfg.k, cfg.c, cfg.l, cfg.kernel_len
+    sample = f * c * t * 4  # one sample of (B, F, C, T) float32 activations
+    step = tensor._batch_step(k * c * t * 4)  # samples per chunk: 2
+    rng = np.random.default_rng(1)
+
+    def peak(b):
+        x = Tensor(rng.normal(size=(b, 1, c, t)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with tensor.no_grad():
+                out = model.temporal_cnn(x)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for size in pool_sizes:
+        tensor.set_pool_threads(size)
+        out, at_4 = peak(4)
+        assert out.shape == (4, f, c, t // 4)
+        # the pooled output, one column block and one chunk of products;
+        # slack: LeakyReLU's temporaries (a block of feature maps a part, at
+        # most one part a sample of the chunk), the padded input and 1 MiB
+        scratch = step * k * c * t * 4 + step * sample
+        slack = step * tensor._SCORE_BYTES + 4 * c * (t + k - 1) * 4 + (1 << 20)
+        assert at_4 <= out.data.nbytes + scratch + slack, size
+        # a sample more costs its pooled output and padded input, not a
+        # (F, C, T) array
+        _, at_8 = peak(8)
+        assert (at_8 - at_4) / 4 < sample / 2, size
 
 
 class _Mallinfo2(ctypes.Structure):
