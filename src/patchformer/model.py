@@ -321,6 +321,9 @@ def aggregate(z: Tensor, regions: list) -> Tensor:
             raise ConfigurationError(f"region {gi} is empty")
         if any(not 0 <= i < c for i in idx):
             raise ConfigurationError(f"region {gi} references a channel outside [0, {c})")
+        if len(set(idx)) != len(idx):
+            # backward's fancy-index += would hand a repeated channel one share
+            raise ConfigurationError(f"region {gi} lists a channel more than once")
         index_lists.append(idx)
 
     data = np.stack([z.data[:, idx, :].mean(axis=1) for idx in index_lists], axis=1)

@@ -576,13 +576,9 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     return Tensor._from_op(data, (x,), bw)
 
 
-def _softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None,
-             amax: np.ndarray | None = None) -> np.ndarray:
-    """Stable softmax of `a` along one axis, into `out` (which may be `a`);
-    `amax`, when given, is `a.max(axis, keepdims=True)`."""
-    if amax is None:
-        amax = a.max(axis=axis, keepdims=True)
-    y = np.subtract(a, amax, out=out)
+def _softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Stable softmax of `a` along one axis, into `out` (which may be `a`)."""
+    y = np.subtract(a, a.max(axis=axis, keepdims=True), out=out)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
     return y
@@ -1153,44 +1149,152 @@ def _conv_block(x: Tensor, kernels: Tensor, bias: Tensor, bn: BatchNormState,
 # ---------------------------------------------------------------------------
 
 
-def _attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """softmax(q k^T) v over the last two axes of (B, H, S, dh) arrays, no graph.
+def _dh1_stats(q: np.ndarray, k: np.ndarray) -> tuple:
+    """(k^T, row max, row sum) for heads of width 1, q and k (..., S, 1): a
+    contiguous k^T (..., 1, S); the row maxima of the scores q_i * k_j
+    without the scores (rounding is monotone, so a row's max is q_i * max(k)
+    where q_i >= 0 and q_i * min(k) elsewhere); and an empty (..., S, 1)
+    array for the rows' softmax denominators, which `_attention_core` fills."""
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    rowmax = q * np.where(q >= 0, kt.max(axis=-1, keepdims=True), kt.min(axis=-1, keepdims=True))
+    return kt, rowmax, np.empty(q.shape, dtype=np.result_type(q, k))
 
-    (batch, head) slices go in groups through a reused _SCORE_BYTES buffer,
-    one per part of the kernel pool (as many parts as fit in
-    _SCORE_SCRATCH_BYTES), so the (B, H, S, S) scores never exist at once. Each group runs the same
-    per-slice matmuls and the same per-row max, subtract, exp, sum and
-    divide as `_softmax(q @ k^T) @ v`, so the result is bit-identical to it.
+
+def _outer(col: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """col * row of (n, S, 1) and contiguous (n, 1, S) into `out`: the
+    column copied into every column of `out`, then multiplied by the row.
+    The same values as np.multiply(col, row), which runs one inner loop per
+    row with a stride-0 operand: at S = 264 that takes ~1.4x as long."""
+    np.copyto(out, col)
+    return np.multiply(out, row, out=out)
+
+
+def _head_groups(shape: tuple, dtype, arrays: int) -> tuple:
+    """(groups, parts, bufs) of a pass over the (sample, head) slices of
+    (B, H, S, dh) attention operands that holds `arrays` S x S arrays per
+    slice. A group (samples, heads) is as many slices as fit in _SCORE_BYTES
+    with those arrays: whole samples where one fits, else a range of one
+    sample's heads. So a group is a 4-D view of a strided head view, whose
+    slices share one set of strides. The groups are cut into parts of the
+    kernel pool, as many as fit in _SCORE_SCRATCH_BYTES; `bufs` is the
+    parts' scratch, (parts, arrays, slices per group, S, S)."""
+    b, h, s, _ = shape
+    slice_bytes = arrays * s * s * dtype.itemsize
+    step = max(1, _SCORE_BYTES // slice_bytes)
+    if step >= h:
+        groups = [(rows, slice(0, h)) for rows in _blocks(0, b, step // h)]
+        size = min(step // h, b) * h
+    else:
+        groups = [(slice(i, i + 1), heads) for i in range(b) for heads in _blocks(0, h, step)]
+        size = step
+    parts = _parts(len(groups), 1, _SCORE_SCRATCH_BYTES // (size * slice_bytes))
+    return groups, parts, np.empty((len(parts), arrays, size, s, s), dtype=dtype)
+
+
+def _group_buffers(bufs: np.ndarray, samples: slice, heads: slice) -> list:
+    """A part's buffers `bufs` (arrays, slices, S, S) as (samples, heads, S, S) arrays."""
+    shape = (samples.stop - samples.start, heads.stop - heads.start) + bufs.shape[-2:]
+    return [buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs]
+
+
+def _exp_scores(q: np.ndarray, kt: np.ndarray, rowmax: np.ndarray | None,
+                out: np.ndarray) -> np.ndarray:
+    """exp(q k^T - row max) of one group into `out`, `_softmax`'s operations
+    before its division: at d_head = 1 the scores are the outer product
+    q_i * k_j (kt contiguous) and `rowmax` their row maxima; else one matmul
+    per slice and the scores' own row maxima."""
+    if rowmax is None:
+        np.matmul(q, kt, out=out)
+        rowmax = out.max(axis=-1, keepdims=True)
+    else:
+        _outer(q, kt, out)
+    np.subtract(out, rowmax, out=out)
+    return np.exp(out, out=out)
+
+
+def _attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep: np.ndarray | None = None,
+                    scale=None, stats: tuple | None = None) -> np.ndarray:
+    """softmax(q k^T) v over the last two axes of (B, H, S, dh) arrays, no
+    graph; with a keep-mask (B, H, S, S), softmax(q k^T) * (keep * scale) v.
+    At d_head = 1, `stats` is `_dh1_stats(q, k)` when the caller keeps it.
+
+    The (sample, head) slices go in _head_groups through reused score
+    buffers, so no (B, H, S, S) float array exists. Each group runs the
+    composite ops' own per-slice operations on the operands' own strides:
+    the scores' matmul (an outer product at d_head = 1), `_softmax`'s row
+    max, subtract, exp, sum and divide, dropout's factor and product, and
+    the matmul with v. So the result is bit-identical to
+    `dropout(softmax(q @ k^T)) @ v`.
     """
     b, h, s, dh = q.shape
-    n = b * h
-    q, k, v = (np.ascontiguousarray(a).reshape(n, s, dh) for a in (q, k, v))
-    score_dtype = np.result_type(q, k)
-    ctx = np.empty((n, s, dh), dtype=np.result_type(score_dtype, v))
-    step = max(1, _SCORE_BYTES // (s * s * score_dtype.itemsize))
-    parts = _parts(n, step, _SCORE_SCRATCH_BYTES // (step * s * s * score_dtype.itemsize))
-    bufs = np.empty((len(parts), min(step, n), s, s), dtype=score_dtype)
-    if dh == 1:
-        # a score is the single product q_i * k_j, and rounding is monotone,
-        # so a row's max is q_i * max(k) where q_i >= 0 and q_i * min(k) elsewhere
-        kt = k.reshape(n, 1, s)
-        rowmax = q * np.where(q >= 0, kt.max(axis=-1, keepdims=True),
-                              kt.min(axis=-1, keepdims=True))
-    else:
-        kt = k.transpose(0, 2, 1)
+    if stats is None:
+        stats = _dh1_stats(q, k) if dh == 1 else (k.swapaxes(-1, -2), None, None)
+    kt, rowmax, rowsum = stats
+    dtype = np.result_type(q, k)
+    ctx = np.empty((b, h, s, dh), dtype=np.result_type(dtype, v))
+    groups, parts, bufs = _head_groups(q.shape, dtype, 1 if keep is None else 2)
 
     def task(p, lo, hi):
-        for group in _blocks(lo, hi, step):
-            block = bufs[p, :group.stop - group.start]
-            if dh == 1:
-                np.multiply(q[group], kt[group], out=block)
-                _softmax(block, -1, out=block, amax=rowmax[group])
-            else:
-                _softmax(np.matmul(q[group], kt[group], out=block), -1, out=block)
-            np.matmul(block, v[group], out=ctx[group])
+        for group in groups[lo:hi]:
+            attn, *factor = _group_buffers(bufs[p], *group)
+            _exp_scores(q[group], kt[group], None if rowmax is None else rowmax[group], attn)
+            attn /= attn.sum(axis=-1, keepdims=True, out=None if rowsum is None else rowsum[group])
+            if keep is not None:
+                np.multiply(keep[group], scale, out=factor[0], dtype=dtype)
+                attn = np.multiply(attn, factor[0], out=factor[0])
+            np.matmul(attn, v[group], out=ctx[group])
 
     _fan_out(task, parts)
-    return ctx.reshape(b, h, s, dh)
+    return ctx
+
+
+def _attention_dh1(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray | None, scale) -> Tensor:
+    """dropout(softmax(q k^T)) @ v of (B, H, S, 1) heads as one op, the
+    dropout given as its keep-mask (None: no dropout) and scale.
+
+    Forward is `_attention_core`. The graph holds q, k, v, each row's max
+    and softmax denominator, the output and the bool keep-mask: no
+    (B, H, S, S) float array. Backward recomputes each group's softmax in a
+    reused buffer and runs the composite graph's per-slice backward
+    operations on the operands' own strides: g v^T, times the dropout
+    factor; `_softmax_grad_rows`'s formula for dS; then dS k, q^T dS and
+    attn^T g. So the gradients are bit-identical to the composite's. Groups
+    are _head_groups of three S x S buffers, fanned out over the kernel pool.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    kt, rowmax, rowsum = stats = _dh1_stats(qd, kd)
+    ctx = _attention_core(qd, kd, vd, keep, scale, stats)
+
+    def bw(g):
+        dtype = np.result_type(g, qd, kd, vd)
+        groups, parts, bufs = _head_groups(qd.shape, dtype, 3)
+        qt, vt = qd.swapaxes(-1, -2), np.ascontiguousarray(vd.swapaxes(-1, -2))
+        dq, dv = np.empty(qd.shape, dtype=dtype), np.empty(vd.shape, dtype=dtype)
+        dkt = np.empty(kt.shape, dtype=dtype)
+
+        def task(p, lo, hi):
+            for group in groups[lo:hi]:
+                probs, attn, grad = _group_buffers(bufs[p], *group)
+                _exp_scores(qd[group], kt[group], rowmax[group], probs)
+                probs /= rowsum[group]
+                _outer(g[group], vt[group], grad)  # the gradient of attn
+                if keep is not None:  # dropout: factor in attn, then attn itself
+                    np.multiply(keep[group], scale, out=attn, dtype=dtype)
+                    grad *= attn
+                    np.multiply(probs, attn, out=attn)
+                np.matmul((probs if keep is None else attn).swapaxes(-1, -2), g[group],
+                          out=dv[group])
+                # softmax backward, dS into grad (attn is free again)
+                dot = np.multiply(grad, probs, out=attn).sum(axis=-1, keepdims=True)
+                np.subtract(grad, dot, out=grad)
+                grad *= probs
+                np.matmul(grad, kd[group], out=dq[group])
+                np.matmul(qt[group], grad, out=dkt[group])
+
+        _fan_out(task, parts)
+        return dq, dkt.swapaxes(-1, -2), dv
+
+    return Tensor._from_op(ctx, (q, k, v), bw)
 
 
 def multi_head_attention(
@@ -1208,9 +1312,12 @@ def multi_head_attention(
 
     x is (S, D) or (B, S, D); the model width D must divide evenly into
     n_head heads, each scoring with 1/sqrt(D / n_head) scaling. Dropout, when
-    requested, is applied to the attention weights. When no graph is recorded
-    and dropout is off, the blocked `_attention_core` computes the same values
-    without the (B, H, S, S) arrays.
+    requested, is applied to the attention weights. Heads of width 1 (the
+    paper's 32 heads on 32-dim tokens) always run as one op,
+    `_attention_dh1`, which holds no (B, H, S, S) float array. Wider heads
+    run `_attention_core` when no graph is recorded and dropout is off, and
+    otherwise record q @ k^T -> softmax -> dropout -> @ v. All paths compute
+    the same values and draw the same keep-mask.
     """
     squeeze = x.ndim == 2
     if squeeze:
@@ -1232,8 +1339,16 @@ def multi_head_attention(
     k = split_heads(linear(x, wk, bk))
     v = split_heads(linear(x, wv, bv))
 
-    if (q.requires_grad or k.requires_grad or v.requires_grad
-            or (dropout_p > 0 and mode == "train")):
+    train_dropout = dropout_p > 0 and mode == "train"
+    if dh == 1:
+        keep = scale = None
+        if train_dropout:
+            if rng is None:
+                raise ValueError("train-mode dropout needs an Rng")
+            keep = rng.keep_mask(dropout_p, (b, n_head, s, s))
+            scale = np.result_type(q.data, k.data).type(1.0 / (1.0 - dropout_p))
+        ctx = _attention_dh1(q, k, v, keep, scale)
+    elif recording(q, k, v) or train_dropout:
         weights = softmax(q @ k.transpose(0, 1, 3, 2), axis=-1)
         attn = dropout(weights, dropout_p, rng, mode) if dropout_p > 0 else weights
         ctx = attn @ v

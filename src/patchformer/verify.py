@@ -161,6 +161,26 @@ def _check_attention(rng):
     return f, [x, mats[0], biases[0], mats[1], biases[1], mats[2], biases[2], mats[3], biases[3]]
 
 
+def _check_attention_dropout(rng):
+    # train mode with dropout on the weights, at both head widths in every
+    # trial: width 1 (the fused op) and width 2 (the composite graph); a
+    # fresh Rng per call replays the same masks, keeping f pure
+    b, s, d = int(rng.integers(1, 3)), int(rng.integers(2, 6)), 2 * int(rng.integers(1, 3))
+    x = _t(rng, b, s, d)
+    mats = [_t(rng, d, d, scale=0.5) for _ in range(4)]
+    biases = [_t(rng, d, scale=0.1) for _ in range(4)]
+    p = float(rng.uniform(0.1, 0.7))
+    seed = int(rng.integers(0, 2**31))
+    w = rng.normal(0.0, 1.0, (2, b, s, d))
+
+    def f(x, *params):
+        return sum((multi_head_attention(x, heads, *params, dropout_p=p, rng=Rng(seed + j),
+                                         mode="train") * Tensor(w[j])).sum()
+                   for j, heads in enumerate((d, d // 2)))
+
+    return f, [x, mats[0], biases[0], mats[1], biases[1], mats[2], biases[2], mats[3], biases[3]]
+
+
 def _check_aggregate(rng):
     b, c, d = int(rng.integers(1, 3)), int(rng.integers(3, 6)), int(rng.integers(2, 5))
     perm = rng.permutation(c)
@@ -205,6 +225,7 @@ OP_CHECKS = {
     "softmax": _check_softmax,
     "dropout": _check_dropout,
     "multi_head_attention": _check_attention,
+    "multi_head_attention_dropout": _check_attention_dropout,
     "aggregate": _check_aggregate,
     "cross_entropy": _check_cross_entropy,
     "arithmetic": _check_arithmetic,

@@ -2,9 +2,10 @@
 
 Everything here is written as plain loops over numpy scalars, deliberately
 ignoring how the package computes the same quantities, so the two sides can
-disagree when one is wrong. The two `*_einsum` functions are the exception:
-they keep the convolutions' former einsum formulation as a float64 reference
-for the im2col and matmul kernels that replaced it.
+disagree when one is wrong. The `*_einsum` and `*_composite` functions are
+the exception: they keep a kernel's former formulation (einsum contractions,
+whole-array formulas, a graph of public ops) as a reference for the kernel
+that replaced it.
 """
 
 import json
@@ -284,3 +285,29 @@ def synth_segments_loop(n_subjects, segs_per_class, c, l, f_s, effect, rng):
                 y.append(label)
                 ids.append(subject)
     return np.array(X), np.array(y), np.array(ids, dtype=object)
+
+
+def attention_composite(x, n_head, wq, bq, wk, bk, wv, bv, wo, bo, dropout_p=0.0, rng=None,
+                        mode="eval"):
+    """multi_head_attention as a recorded graph of public Tensor ops, the
+    graph it recorded before heads of width 1 became one op: the three
+    projections split into heads, softmax(q @ k^T), dropout, @ v and the
+    output projection. x is a Tensor (S, D) or (B, S, D)."""
+    from patchformer.tensor import dropout, linear, softmax
+
+    squeeze = x.ndim == 2
+    if squeeze:
+        x = x.reshape(1, *x.shape)
+    b, s, d = x.shape
+    dh = d // n_head
+
+    def split_heads(t):
+        return t.reshape(b, s, n_head, dh).transpose(0, 2, 1, 3)
+
+    q = split_heads(linear(x, wq, bq)) * (1.0 / math.sqrt(dh))
+    k = split_heads(linear(x, wk, bk))
+    v = split_heads(linear(x, wv, bv))
+    weights = softmax(q @ k.transpose(0, 1, 3, 2), axis=-1)
+    attn = dropout(weights, dropout_p, rng, mode) if dropout_p > 0 else weights
+    out = linear((attn @ v).transpose(0, 2, 1, 3).reshape(b, s, d), wo, bo)
+    return out.reshape(s, d) if squeeze else out

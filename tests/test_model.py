@@ -310,6 +310,11 @@ class TestAggregate:
         with pytest.raises(ConfigurationError):
             aggregate(Tensor(np_rng.normal(size=(1, 4, 3))), [[0], []])
 
+    def test_repeated_channel_within_a_region_rejected(self, np_rng):
+        # forward would weight channel 0 twice, backward give it one share
+        with pytest.raises(ConfigurationError, match="region 0 lists a channel more than once"):
+            aggregate(Tensor(np_rng.normal(size=(1, 4, 3)), requires_grad=True), [[0, 0, 1], [2]])
+
 
 class TestTokenOrdering:
     def test_swapping_regions_permutes_token_blocks(self, np_rng):

@@ -41,6 +41,13 @@ def _attention_core(dh):
     return [tensor._attention_core(q, k, v)]
 
 
+def _attention_train_dh1():
+    q, k, v = (Tensor(_values(np.float32, (3, 20, 5), seed).reshape(3, 20, 5, 1)
+                      .transpose(0, 2, 1, 3), requires_grad=True) for seed in (1, 2, 3))
+    out = tensor._attention_dh1(q, k, v, Rng(4).keep_mask(0.5, (3, 5, 20, 20)), np.float32(2.0))
+    return [out.data, *out._backward(_values(np.float32, out.shape, 5))]
+
+
 def _softmax():
     x = Tensor(_values(np.float32, (5, 7, 13), 4), requires_grad=True)
     y = softmax(x)
@@ -86,6 +93,8 @@ CONV_CAPS = {k: {"_COLUMN_BYTES": 4 * SAMPLE_COLS * k // 5, "_PART_BYTES": SAMPL
 CASES = {
     "attention_core_dh1": (lambda: _attention_core(1), {"_SCORE_BYTES": 2 * 20 * 20 * 4}),
     "attention_core_dh4": (lambda: _attention_core(4), {"_SCORE_BYTES": 2 * 20 * 20 * 4}),
+    # backward groups of 2 heads, forward groups of 3: 9 and 6 groups
+    "attention_train_dh1": (_attention_train_dh1, {"_SCORE_BYTES": 2 * 3 * 20 * 20 * 4}),
     "softmax": (_softmax, {"_SCORE_BYTES": 4 * 3 * 13 * 4}),
     "dropout_dyadic": (lambda: _dropout(0.5), {"_SCORE_BYTES": 16 * 8}),
     "dropout_words": (lambda: _dropout(0.3), {"_SCORE_BYTES": 16 * 8}),

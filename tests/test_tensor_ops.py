@@ -594,9 +594,10 @@ class TestAttention:
 
     @staticmethod
     def _both_paths(x, n_head, params):
-        """(recorded, blocked) outputs: the composite graph, then the no-graph core."""
+        """(recorded, blocked) outputs: the composite graph of public ops,
+        then the no-graph core."""
         leaves = [Tensor(p, requires_grad=True) for p in params]
-        recorded = multi_head_attention(Tensor(x, requires_grad=True), n_head, *leaves)
+        recorded = oracles.attention_composite(Tensor(x, requires_grad=True), n_head, *leaves)
         assert recorded.requires_grad
         with tensor.no_grad():
             blocked = multi_head_attention(Tensor(x), n_head, *leaves)
@@ -664,6 +665,106 @@ class TestAttention:
         with pytest.raises(ConfigurationError):
             multi_head_attention(Tensor(np_rng.normal(size=(3, 7))), 2,
                                  *self._params(np_rng, 7))
+
+
+class TestFusedAttention:
+    """Heads of width 1 run softmax(q k^T) -> dropout -> @ v as one op."""
+
+    @staticmethod
+    def _heads(dtype, b, s, h, seed):
+        # a (B, H, S, 1) head view of a (B, S, H) projection, as
+        # multi_head_attention splits it
+        return _signed_values(dtype, (b, s, h), seed).reshape(b, s, h, 1).transpose(0, 2, 1, 3)
+
+    @classmethod
+    def _run(cls, fused, dtype, b, s, h, p, seed=0):
+        """(output, dq, dk, dv) of one recorded forward and backward, fused
+        or as the composite of public ops."""
+        q, k, v = (Tensor(cls._heads(dtype, b, s, h, seed + j), requires_grad=True)
+                   for j in range(3))
+        rng = Rng(seed + 3)
+        if fused:
+            keep = rng.keep_mask(p, (b, h, s, s)) if p > 0 else None
+            out = tensor._attention_dh1(q, k, v, keep, np.dtype(dtype).type(1.0 / (1.0 - p)))
+        else:
+            weights = softmax(q @ k.transpose(0, 1, 3, 2))
+            out = (dropout(weights, p, rng, "train") if p > 0 else weights) @ v
+        # the cotangent reaches the op as a strided view, as it does in the model
+        g = Tensor(_signed_values(dtype, (b, s, h), seed + 4))
+        (out.transpose(0, 2, 1, 3).reshape(b, s, h) * g).sum().backward()
+        return [out.data, q.grad, k.grad, v.grad]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.3], ids=["p0", "dyadic", "non-dyadic"])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    @pytest.mark.parametrize("heads_per_group", [1, 2, 100])
+    def test_bit_identical_to_the_composite_ops(self, monkeypatch, dtype, p, b, heads_per_group):
+        # 3 heads per sample, so groups of 2 heads cut every sample unevenly
+        # and a grouping of the flattened (sample, head) slices would
+        # straddle samples
+        s, h = 11, 3
+        monkeypatch.setattr(tensor, "_SCORE_BYTES",
+                            heads_per_group * 3 * s * s * np.dtype(dtype).itemsize)
+        got, want = self._run(True, dtype, b, s, h, p), self._run(False, dtype, b, s, h, p)
+        for name, a, e in zip(("output", "dq", "dk", "dv"), got, want):
+            assert a.dtype == e.dtype and a.shape == e.shape, name
+            assert a.tobytes() == e.tobytes(), name
+
+    def test_reference_shape_is_bit_identical_to_the_composite_ops(self):
+        got, want = (self._run(fused, np.float32, 1, 264, 32, 0.5) for fused in (True, False))
+        for a, e in zip(got, want):
+            assert a.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.3], ids=["p0", "dyadic", "non-dyadic"])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_layer_gradients_are_bit_identical_to_the_composite_graph(self, dtype, p, b):
+        # through the projections: the gradients of x (which the q, k and v
+        # projections add up in the composite's order) and of every weight,
+        # and the dropout stream's next draw
+        s, d = 9, 6
+        x = _signed_values(dtype, (b, s, d), 1)
+        params = [_signed_values(dtype, shape, 2 + j) * dtype(0.5)
+                  for j, shape in enumerate([(d, d), (d,)] * 4)]
+        g = _signed_values(dtype, (b, s, d), 10)
+        results = []
+        for layer in (multi_head_attention, oracles.attention_composite):
+            leaves = [Tensor(a, requires_grad=True) for a in [x, *params]]
+            rng = Rng(11)
+            out = layer(leaves[0], d, *leaves[1:], dropout_p=p, rng=rng, mode="train")
+            (out * Tensor(g)).sum().backward()
+            results.append([out.data, *(t.grad for t in leaves), rng.uniform(0.0, 1.0, 3)])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_train_mode_dropout_needs_an_rng(self, np_rng):
+        with pytest.raises(ValueError, match="Rng"):
+            multi_head_attention(Tensor(np_rng.normal(size=(3, 4))), 4,
+                                 *TestAttention()._params(np_rng, 4), dropout_p=0.5, mode="train")
+
+    def test_recorded_step_keeps_no_score_array(self, np_rng, pool_sizes):
+        # the reference shape: 264 tokens, 32 heads of width 1, dropout 0.5;
+        # one (4, 32, 264, 264) float32 array is 34 MiB, its bool keep-mask 8.5
+        x = Tensor(np_rng.normal(size=(4, 264, 32)).astype(np.float32), requires_grad=True)
+        params = [Tensor(p.data.astype(np.float32), requires_grad=True)
+                  for p in TestAttention()._params(np_rng, 32)]
+        g = Tensor(np_rng.normal(size=(4, 264, 32)).astype(np.float32))
+        score_bytes = 4 * 32 * 264 * 264 * 4
+        for size in pool_sizes:
+            tensor.set_pool_threads(size)
+            tracemalloc.start()
+            try:
+                out = multi_head_attention(x, 32, *params, dropout_p=0.5, rng=Rng(size), mode="train")
+                (out * g).sum().backward()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert x.grad is not None and np.isfinite(x.grad).all()
+            # the keep-mask, a quarter of one score array, and some slack
+            assert peak < score_bytes // 2, (size, peak)
+            x.grad = None
+            for p in params:
+                p.grad = None
 
 
 class TestShapeOps:
