@@ -27,7 +27,7 @@ from . import __version__
 from .config import ABLATIONS, ModelConfig
 from .checkpoint import load_model
 from .data import check_segmentable, decimation_factor, downsample, segment, window_samples
-from .container import canonical_json, check_entries, require_keys
+from .container import canonical_json, check_entries, require_keys, write_atomic
 from .errors import ConfigurationError, DataFormatError, MetricUndefinedError, PatchFormerError
 from .model import param_count
 from .rng import Rng
@@ -166,7 +166,7 @@ def _start(args, config: dict, artifacts: dict, manifest_path: Path) -> bool:
         "environment": environment(),
     }
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
     return True
 
 
@@ -265,7 +265,7 @@ def cmd_train(args) -> int:
     ds, mc, tc, out = run
     row, history = _run_fold(ds, mc, tc, args.test_subject, out / "checkpoint.ckpt",
                              log_fn=None if args.quiet else _emit)
-    (out / "history.json").write_text(json.dumps(history, indent=2))
+    write_atomic(out / "history.json", json.dumps(history, indent=2))
     _emit({"event": "test", "subject": row.subject, "best_epoch": row.best_epoch,
            "acc": row.acc, "auc": row.auc, "macro_f1": row.macro_f1})
     return 0
@@ -324,7 +324,7 @@ def cmd_sweep(args) -> int:
     reports = sweep_patch_length(ds, mc, tc, lengths, parallel_folds=args.parallel_folds,
                                  log_fn=None if args.quiet else _emit)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(sweep_table(reports))
+    write_atomic(out / "sweep.csv", sweep_table(reports))
     for rep in reports:
         _write_report(rep, out, name=f"report_{rep.label.replace('=', '_')}")
     print(sweep_table(reports), end="")

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import types
 import typing
+import uuid
 import zlib
 from pathlib import Path
 
@@ -38,7 +40,24 @@ def write(path, magic: bytes, header: dict, arrays) -> None:
     for a in arrays:
         out += np.ascontiguousarray(a, dtype="<f4").tobytes()
     out += struct.pack("<I", zlib.crc32(out))
-    Path(path).write_bytes(out)
+    write_atomic(path, out)
+
+
+def write_atomic(path, data) -> None:
+    """Write `data` (bytes, or str as UTF-8) to `path` through a new file in
+    the same directory that then replaces it (os.replace): a reader, or a
+    run that fails midway, finds the previous file or the new one, never a
+    torn one, and no temporary file is left behind. No fsync: the replace
+    is atomic, not durable across a power cut."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _finite(text: str) -> float:

@@ -62,10 +62,11 @@ class Rng:
         A dyadic p_drop = m / 2**r with r <= 8 takes r' bits per element, r'
         being r rounded up to 1, 2, 4 or 8: `ceil(n * r' / 64)` raw Philox
         words are read as consecutive little-endian r'-bit chunks, and an
-        element is kept where its chunk is >= p_drop * 2**r'. The mask is the
-        unpacked array itself. This path leaves alone the half-word that an
-        earlier odd float32 draw may have buffered; the next float32 draw
-        still starts with it.
+        element is kept where its chunk is >= p_drop * 2**r'. At r' = 1 the
+        mask is `keep_bits` unpacked; wider chunks are compared in place, so
+        the mask is the unpacked array itself. This path leaves alone the
+        half-word that an earlier odd float32 draw may have buffered; the
+        next float32 draw still starts with it.
 
         Any other p_drop is equal, bit for bit and in the generator state it
         leaves, to `random(shape, dtype=float32) >= p_drop`. A float32 uniform
@@ -77,6 +78,9 @@ class Rng:
         if n == 0:
             return np.empty(shape, dtype=bool)
         dyadic = _dyadic(float(p_drop))
+        if dyadic is not None and dyadic[0] == 1:
+            bits = self.keep_bits(p_drop, shape)
+            return np.unpackbits(bits, count=n, bitorder="little").view(bool).reshape(shape)
         if dyadic is not None:
             return self._bit_mask(*dyadic, n).reshape(shape)
         keep = np.empty(shape, dtype=bool)
@@ -98,15 +102,28 @@ class Rng:
             flat[-1] = int(self._gen.integers(0, 2**32, dtype=np.uint32)) >= threshold
         return keep
 
+    def keep_bits(self, p_drop: float, shape) -> np.ndarray:
+        """`keep_mask(p_drop, shape)` packed as little-endian bits: element i
+        of the flattened mask is bit i % 8 of byte i // 8 of this uint8 array
+        of ceil(n / 8) bytes (bits past n are unspecified). The draws, and
+        the generator state left, are keep_mask's. At p_drop = 0.5 the bytes
+        are the raw Philox words themselves, so no bool array is built; any
+        other p_drop packs keep_mask's result."""
+        shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+        n = math.prod(shape)
+        dyadic = _dyadic(float(p_drop))
+        if n == 0 or dyadic is None or dyadic[0] != 1:
+            return np.packbits(self.keep_mask(p_drop, shape), bitorder="little")
+        # 1-bit chunks: a set bit keeps (threshold 1), or every element is kept (0)
+        words = self._gen.bit_generator.random_raw(-(-n // 64))
+        octets = words.astype("<u8", copy=False).view(np.uint8)[:-(-n // 8)]
+        return octets if dyadic[1] else np.full_like(octets, 0xFF)
+
     def _bit_mask(self, bits: int, threshold: int, n: int) -> np.ndarray:
-        """Flat keep-mask of n elements from `bits`-bit chunks of raw words."""
+        """Flat keep-mask of n elements from `bits`-bit chunks (2, 4 or 8) of raw words."""
         words = self._gen.bit_generator.random_raw(-(-n * bits // 64))
         octets = words.astype("<u8", copy=False).view(np.uint8)
-        if bits == 1:
-            chunks = np.unpackbits(octets, count=n, bitorder="little")
-            if threshold == 1:  # the bits are the mask
-                return chunks.view(bool)
-        elif bits == 8:
+        if bits == 8:
             chunks = octets[:n]
         else:
             per = 8 // bits

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ABLATIONS, ModelConfig
-from .container import canonical_json
+from .container import canonical_json, write_atomic
 from .data import SegmentSet, loso_split
 from .errors import FoldError, PatchFormerError
 from .model import build
@@ -85,21 +86,22 @@ class ExperimentReport:
         return canonical_json(self.to_dict())
 
     def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True))
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["subject", "acc_percent", "auc", "macro_f1_percent",
-                             "best_epoch", "n_test"])
-            for r in self.rows:
-                writer.writerow([r.subject, f"{r.acc:.4f}", f"{r.auc:.6f}",
-                                 f"{r.macro_f1:.4f}", r.best_epoch, r.n_test])
-            agg = self.aggregate
-            writer.writerow(["mean", f"{agg['acc']['mean']:.4f}", f"{agg['auc']['mean']:.6f}",
-                             f"{agg['macro_f1']['mean']:.4f}", "", ""])
-            writer.writerow(["std", f"{agg['acc']['std']:.4f}", f"{agg['auc']['std']:.6f}",
-                             f"{agg['macro_f1']['std']:.4f}", "", ""])
+        fh = io.StringIO()
+        writer = csv.writer(fh)
+        writer.writerow(["subject", "acc_percent", "auc", "macro_f1_percent",
+                         "best_epoch", "n_test"])
+        for r in self.rows:
+            writer.writerow([r.subject, f"{r.acc:.4f}", f"{r.auc:.6f}",
+                             f"{r.macro_f1:.4f}", r.best_epoch, r.n_test])
+        agg = self.aggregate
+        writer.writerow(["mean", f"{agg['acc']['mean']:.4f}", f"{agg['auc']['mean']:.6f}",
+                         f"{agg['macro_f1']['mean']:.4f}", "", ""])
+        writer.writerow(["std", f"{agg['acc']['std']:.4f}", f"{agg['auc']['std']:.6f}",
+                         f"{agg['macro_f1']['std']:.4f}", "", ""])
+        write_atomic(path, fh.getvalue())
 
 
 def config_fingerprint(mc: ModelConfig, tc: TrainConfig) -> str:

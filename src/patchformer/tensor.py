@@ -1175,9 +1175,10 @@ def _head_groups(shape: tuple, dtype, arrays: int) -> tuple:
     slice. A group (samples, heads) is as many slices as fit in _SCORE_BYTES
     with those arrays: whole samples where one fits, else a range of one
     sample's heads. So a group is a 4-D view of a strided head view, whose
-    slices share one set of strides. The groups are cut into parts of the
-    kernel pool, as many as fit in _SCORE_SCRATCH_BYTES; `bufs` is the
-    parts' scratch, (parts, arrays, slices per group, S, S)."""
+    slices share one set of strides, and one run of the flattened
+    (B, H, S, S) weights. The groups are cut into parts of the kernel pool,
+    as many as fit in _SCORE_SCRATCH_BYTES; `bufs` is the parts' scratch,
+    (parts, arrays, slices per group * S * S + _BIT_SLACK)."""
     b, h, s, _ = shape
     slice_bytes = arrays * s * s * dtype.itemsize
     step = max(1, _SCORE_BYTES // slice_bytes)
@@ -1188,13 +1189,49 @@ def _head_groups(shape: tuple, dtype, arrays: int) -> tuple:
         groups = [(slice(i, i + 1), heads) for i in range(b) for heads in _blocks(0, h, step)]
         size = step
     parts = _parts(len(groups), 1, _SCORE_SCRATCH_BYTES // (size * slice_bytes))
-    return groups, parts, np.empty((len(parts), arrays, size, s, s), dtype=dtype)
+    return groups, parts, np.empty((len(parts), arrays, size * s * s + _BIT_SLACK), dtype=dtype)
 
 
-def _group_buffers(bufs: np.ndarray, samples: slice, heads: slice) -> list:
-    """A part's buffers `bufs` (arrays, slices, S, S) as (samples, heads, S, S) arrays."""
-    shape = (samples.stop - samples.start, heads.stop - heads.start) + bufs.shape[-2:]
-    return [buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs]
+def _group_run(shape: tuple, group: tuple) -> tuple:
+    """(dims, start) of one _head_groups group (samples, heads) of (B, H, S, S)
+    weights: its (samples, heads, S, S) shape and the index of its first
+    weight in the flattened weights."""
+    samples, heads = group
+    _, h, s, _ = shape
+    dims = (samples.stop - samples.start, heads.stop - heads.start, s, s)
+    return dims, (samples.start * h + heads.start) * s * s
+
+
+def _group_buffers(bufs: np.ndarray, dims: tuple) -> list:
+    """A part's buffers `bufs` (arrays, elements) as arrays of a group's `dims`."""
+    return [buf[:math.prod(dims)].reshape(dims) for buf in bufs]
+
+
+# Bit j of byte v at [v, j]: row v is the byte's 8 little-endian packed keep
+# bits, unpacked.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                           bitorder="little").view(bool)
+
+# Elements of slack after each _head_groups scratch array: a group's dropout
+# factors are decoded from whole bytes of the packed keep-mask, up to 7 bits
+# before its first weight and 7 after its last (16 keeps the arrays' offsets
+# multiples of 64 bytes wherever S * S * itemsize is).
+_BIT_SLACK = 16
+
+
+def _keep_factor(keep: np.ndarray, table: np.ndarray, dims: tuple, start: int,
+                 out: np.ndarray) -> np.ndarray:
+    """Dropout's factor keep * scale of one group of weights (`_group_run`'s
+    dims and start), decoded into `out`, a flat scratch of the group's size
+    plus _BIT_SLACK. `keep` is the whole mask as little-endian packed bits
+    (`Rng.keep_bits`) and `table` (256, 8) each byte's 8 factors. The run of
+    the group's bits starts mid-byte when S * S is not a multiple of 8, so
+    its whole bytes are decoded and the factor is a view at the bit offset."""
+    n = math.prod(dims)
+    lo, skip = divmod(start, 8)
+    octets = keep[lo:-(-(start + n) // 8)]
+    np.take(table, octets, axis=0, out=out[:8 * octets.size].reshape(-1, 8), mode="clip")
+    return out[skip:skip + n].reshape(dims)
 
 
 def _exp_scores(q: np.ndarray, kt: np.ndarray, rowmax: np.ndarray | None,
@@ -1215,16 +1252,19 @@ def _exp_scores(q: np.ndarray, kt: np.ndarray, rowmax: np.ndarray | None,
 def _attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep: np.ndarray | None = None,
                     scale=None, stats: tuple | None = None) -> np.ndarray:
     """softmax(q k^T) v over the last two axes of (B, H, S, dh) arrays, no
-    graph; with a keep-mask (B, H, S, S), softmax(q k^T) * (keep * scale) v.
-    At d_head = 1, `stats` is `_dh1_stats(q, k)` when the caller keeps it.
+    graph; with a keep-mask of (B, H, S, S) weights, given as packed bits
+    (`Rng.keep_bits`), softmax(q k^T) * (keep * scale) v. At d_head = 1,
+    `stats` is `_dh1_stats(q, k)` when the caller keeps it.
 
     The (sample, head) slices go in _head_groups through reused score
-    buffers, so no (B, H, S, S) float array exists. Each group runs the
-    composite ops' own per-slice operations on the operands' own strides:
-    the scores' matmul (an outer product at d_head = 1), `_softmax`'s row
-    max, subtract, exp, sum and divide, dropout's factor and product, and
-    the matmul with v. So the result is bit-identical to
-    `dropout(softmax(q @ k^T)) @ v`.
+    buffers, so no (B, H, S, S) float or bool array exists: each group
+    decodes only its own run of the keep-mask's bits into dropout's factor
+    (`_keep_factor`, whose table holds dropout's own products keep * scale).
+    Each group runs the composite ops' own per-slice operations on the
+    operands' own strides: the scores' matmul (an outer product at
+    d_head = 1), `_softmax`'s row max, subtract, exp, sum and divide,
+    dropout's product, and the matmul with v. So the result is
+    bit-identical to `dropout(softmax(q @ k^T)) @ v`.
     """
     b, h, s, dh = q.shape
     if stats is None:
@@ -1233,15 +1273,17 @@ def _attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep: np.ndarra
     dtype = np.result_type(q, k)
     ctx = np.empty((b, h, s, dh), dtype=np.result_type(dtype, v))
     groups, parts, bufs = _head_groups(q.shape, dtype, 1 if keep is None else 2)
+    table = None if keep is None else np.multiply(_BYTE_BITS, scale, dtype=dtype)
 
     def task(p, lo, hi):
         for group in groups[lo:hi]:
-            attn, *factor = _group_buffers(bufs[p], *group)
+            dims, start = _group_run(q.shape, group)
+            attn = _group_buffers(bufs[p], dims)[0]
             _exp_scores(q[group], kt[group], None if rowmax is None else rowmax[group], attn)
             attn /= attn.sum(axis=-1, keepdims=True, out=None if rowsum is None else rowsum[group])
             if keep is not None:
-                np.multiply(keep[group], scale, out=factor[0], dtype=dtype)
-                attn = np.multiply(attn, factor[0], out=factor[0])
+                factor = _keep_factor(keep, table, dims, start, bufs[p][1])
+                attn = np.multiply(attn, factor, out=factor)
             np.matmul(attn, v[group], out=ctx[group])
 
     _fan_out(task, parts)
@@ -1250,12 +1292,14 @@ def _attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep: np.ndarra
 
 def _attention_dh1(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray | None, scale) -> Tensor:
     """dropout(softmax(q k^T)) @ v of (B, H, S, 1) heads as one op, the
-    dropout given as its keep-mask (None: no dropout) and scale.
+    dropout given as its keep-mask in packed bits (`Rng.keep_bits`; None:
+    no dropout) and scale.
 
     Forward is `_attention_core`. The graph holds q, k, v, each row's max
-    and softmax denominator, the output and the bool keep-mask: no
-    (B, H, S, S) float array. Backward recomputes each group's softmax in a
-    reused buffer and runs the composite graph's per-slice backward
+    and softmax denominator, the output and the packed keep-mask, one bit
+    per weight: no (B, H, S, S) float or bool array. Backward recomputes
+    each group's softmax in a reused buffer, decodes the group's dropout
+    factor again, and runs the composite graph's per-slice backward
     operations on the operands' own strides: g v^T, times the dropout
     factor; `_softmax_grad_rows`'s formula for dS; then dS k, q^T dS and
     attn^T g. So the gradients are bit-identical to the composite's. Groups
@@ -1268,22 +1312,24 @@ def _attention_dh1(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray | None, sca
     def bw(g):
         dtype = np.result_type(g, qd, kd, vd)
         groups, parts, bufs = _head_groups(qd.shape, dtype, 3)
+        table = None if keep is None else np.multiply(_BYTE_BITS, scale, dtype=dtype)
         qt, vt = qd.swapaxes(-1, -2), np.ascontiguousarray(vd.swapaxes(-1, -2))
         dq, dv = np.empty(qd.shape, dtype=dtype), np.empty(vd.shape, dtype=dtype)
         dkt = np.empty(kt.shape, dtype=dtype)
 
         def task(p, lo, hi):
             for group in groups[lo:hi]:
-                probs, attn, grad = _group_buffers(bufs[p], *group)
+                dims, start = _group_run(qd.shape, group)
+                probs, attn, grad = _group_buffers(bufs[p], dims)
                 _exp_scores(qd[group], kt[group], rowmax[group], probs)
                 probs /= rowsum[group]
                 _outer(g[group], vt[group], grad)  # the gradient of attn
-                if keep is not None:  # dropout: factor in attn, then attn itself
-                    np.multiply(keep[group], scale, out=attn, dtype=dtype)
-                    grad *= attn
-                    np.multiply(probs, attn, out=attn)
-                np.matmul((probs if keep is None else attn).swapaxes(-1, -2), g[group],
-                          out=dv[group])
+                dropped = probs
+                if keep is not None:  # dropout: the factor in attn's buffer, then attn itself
+                    factor = _keep_factor(keep, table, dims, start, bufs[p][1])
+                    grad *= factor
+                    dropped = np.multiply(probs, factor, out=factor)
+                np.matmul(dropped.swapaxes(-1, -2), g[group], out=dv[group])
                 # softmax backward, dS into grad (attn is free again)
                 dot = np.multiply(grad, probs, out=attn).sum(axis=-1, keepdims=True)
                 np.subtract(grad, dot, out=grad)
@@ -1314,7 +1360,8 @@ def multi_head_attention(
     n_head heads, each scoring with 1/sqrt(D / n_head) scaling. Dropout, when
     requested, is applied to the attention weights. Heads of width 1 (the
     paper's 32 heads on 32-dim tokens) always run as one op,
-    `_attention_dh1`, which holds no (B, H, S, S) float array. Wider heads
+    `_attention_dh1`, which holds no (B, H, S, S) float or bool array (its
+    keep-mask is drawn as packed bits, `Rng.keep_bits`). Wider heads
     run `_attention_core` when no graph is recorded and dropout is off, and
     otherwise record q @ k^T -> softmax -> dropout -> @ v. All paths compute
     the same values and draw the same keep-mask.
@@ -1345,7 +1392,7 @@ def multi_head_attention(
         if train_dropout:
             if rng is None:
                 raise ValueError("train-mode dropout needs an Rng")
-            keep = rng.keep_mask(dropout_p, (b, n_head, s, s))
+            keep = rng.keep_bits(dropout_p, (b, n_head, s, s))
             scale = np.result_type(q.data, k.data).type(1.0 / (1.0 - dropout_p))
         ctx = _attention_dh1(q, k, v, keep, scale)
     elif recording(q, k, v) or train_dropout:

@@ -1,17 +1,22 @@
 """Both container formats, byte for byte against an independent writer of the
-README layout, and the order in which a read checks a file."""
+README layout, the order in which a read checks a file, and artifact writes
+that leave the previous file whole when they fail."""
 
+import errno
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from patchformer import container
 from patchformer.checkpoint import load_model, save_model
 from patchformer.config import ABLATIONS
 from patchformer.data import SegmentSet
 from patchformer.errors import DataFormatError
 from patchformer.model import build
 from patchformer.rng import Rng
+from patchformer.runners import ExperimentReport, SubjectResult
 from patchformer.segio import load_segments, save_segments
 from patchformer.synth import SynthEffect, synth_generate
 
@@ -58,3 +63,67 @@ def test_checksum_is_checked_before_the_header(tiny_config, tmp_path, write, loa
     path.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError, match="checksum mismatch at offset"):
         load(path)
+
+
+def _report(seed):
+    rows = [SubjectResult("S01", 80.0 + seed, 0.9, 79.0, 3, 12)]
+    return ExperimentReport("full", rows, ExperimentReport.aggregate_rows(rows), "abc", 1.5)
+
+
+WRITERS = {
+    "seg": lambda path, cfg, seed: save_segments(
+        synth_generate(1, 2, 2, 16, 8.0, SynthEffect(), Rng(seed)), path),
+    "ckpt": lambda path, cfg, seed: save_model(build(cfg, Rng(seed)), path),
+    "report_json": lambda path, cfg, seed: _report(seed).save_json(path),
+    "report_csv": lambda path, cfg, seed: _report(seed).save_csv(path),
+    "text": lambda path, cfg, seed: container.write_atomic(path, f"run {seed}\n"),
+}
+
+
+class _HalfWriter:
+    """A file that takes half of what it is given, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(bytes(data[:len(data) // 2]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_a_failed_write_keeps_the_previous_file(tiny_config, tmp_path, monkeypatch, name, fault):
+    path = tmp_path / "artifact"
+    WRITERS[name](path, tiny_config, 1)
+    before = path.read_bytes()
+    if fault == "write":
+        monkeypatch.setattr(container, "open", lambda p, mode: _HalfWriter(open(p, mode)),
+                            raising=False)
+    else:
+        monkeypatch.setattr(os, "replace", _fail_replace)
+    with pytest.raises(OSError):
+        WRITERS[name](path, tiny_config, 2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    WRITERS[name](path, tiny_config, 2)
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_atomic_writes_keep_the_permissions_of_a_plain_write(tmp_path):
+    plain, atomic = tmp_path / "plain", tmp_path / "atomic"
+    plain.write_bytes(b"x")
+    container.write_atomic(atomic, b"x")
+    assert atomic.stat().st_mode == plain.stat().st_mode

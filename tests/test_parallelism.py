@@ -44,7 +44,7 @@ def _attention_core(dh):
 def _attention_train_dh1():
     q, k, v = (Tensor(_values(np.float32, (3, 20, 5), seed).reshape(3, 20, 5, 1)
                       .transpose(0, 2, 1, 3), requires_grad=True) for seed in (1, 2, 3))
-    out = tensor._attention_dh1(q, k, v, Rng(4).keep_mask(0.5, (3, 5, 20, 20)), np.float32(2.0))
+    out = tensor._attention_dh1(q, k, v, Rng(4).keep_bits(0.5, (3, 5, 20, 20)), np.float32(2.0))
     return [out.data, *out._backward(_values(np.float32, out.shape, 5))]
 
 

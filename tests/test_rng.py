@@ -94,6 +94,41 @@ def test_dyadic_keep_mask_equals_the_bit_chunk_reference(p, shape, before, seed)
                                   twin.random(9, dtype=np.float32))
 
 
+@given(p=st.sampled_from([0.5, 0.25, 0.125, 0.75, 3 / 256, 0.1, 0.3]),
+       shape=st.sampled_from(SHAPES), before=st.integers(0, 7), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_keep_bits_are_the_packed_keep_mask(p, shape, before, seed):
+    """keep_bits holds keep_mask's mask, one little-endian bit per element,
+    and draws what keep_mask draws, a half-word buffered before the draw
+    (odd `before`) included."""
+    rng, twin = Rng(seed), Rng(seed)
+    rng._gen.random(before, dtype=np.float32)
+    twin._gen.random(before, dtype=np.float32)
+    bits = rng.keep_bits(p, shape)
+    mask = twin.keep_mask(p, shape)
+    packed = np.packbits(mask, bitorder="little")
+    assert bits.dtype == np.uint8 and bits.shape == packed.shape
+    # the first n bits; those past n in the last byte are unspecified
+    np.testing.assert_array_equal(np.unpackbits(bits, count=mask.size, bitorder="little"),
+                                  np.unpackbits(packed, count=mask.size, bitorder="little"))
+    assert _same_state(rng._gen.bit_generator.state, twin._gen.bit_generator.state)
+    np.testing.assert_array_equal(rng._gen.random(9, dtype=np.float32),
+                                  twin._gen.random(9, dtype=np.float32))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0])
+@pytest.mark.parametrize("n", [1, 63, 64, 70, 1000])
+def test_one_bit_keep_bits_are_the_raw_words(p, n):
+    """At p = 0.5 the packed mask is the raw Philox words' own bytes; p = 0
+    keeps everything and draws the same words."""
+    rng = Rng(3)
+    bits = rng.keep_bits(p, (n,))
+    bitgen = np.random.Philox(key=rng.seed)
+    words = bitgen.random_raw(-(-n // 64)).astype("<u8").tobytes()[:-(-n // 8)]
+    assert bits.tobytes() == (words if p else b"\xff" * len(words))
+    assert _same_state(rng._gen.bit_generator.state, bitgen.state)
+
+
 def test_spawn_is_stateless():
     # child streams depend only on (seed, label), not on parent consumption
     parent_a, parent_b = Rng(42), Rng(42)

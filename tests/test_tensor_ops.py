@@ -684,7 +684,7 @@ class TestFusedAttention:
                    for j in range(3))
         rng = Rng(seed + 3)
         if fused:
-            keep = rng.keep_mask(p, (b, h, s, s)) if p > 0 else None
+            keep = rng.keep_bits(p, (b, h, s, s)) if p > 0 else None
             out = tensor._attention_dh1(q, k, v, keep, np.dtype(dtype).type(1.0 / (1.0 - p)))
         else:
             weights = softmax(q @ k.transpose(0, 1, 3, 2))
@@ -694,35 +694,75 @@ class TestFusedAttention:
         (out.transpose(0, 2, 1, 3).reshape(b, s, h) * g).sum().backward()
         return [out.data, q.grad, k.grad, v.grad]
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("p", [0.0, 0.5, 0.3], ids=["p0", "dyadic", "non-dyadic"])
-    @pytest.mark.parametrize("b", [1, 2, 3])
-    @pytest.mark.parametrize("heads_per_group", [1, 2, 100])
-    def test_bit_identical_to_the_composite_ops(self, monkeypatch, dtype, p, b, heads_per_group):
-        # 3 heads per sample, so groups of 2 heads cut every sample unevenly
-        # and a grouping of the flattened (sample, head) slices would
-        # straddle samples
-        s, h = 11, 3
+    @classmethod
+    def _assert_bit_identical(cls, monkeypatch, dtype, b, s, h, p, heads_per_group):
         monkeypatch.setattr(tensor, "_SCORE_BYTES",
                             heads_per_group * 3 * s * s * np.dtype(dtype).itemsize)
-        got, want = self._run(True, dtype, b, s, h, p), self._run(False, dtype, b, s, h, p)
+        got, want = cls._run(True, dtype, b, s, h, p), cls._run(False, dtype, b, s, h, p)
         for name, a, e in zip(("output", "dq", "dk", "dv"), got, want):
             assert a.dtype == e.dtype and a.shape == e.shape, name
             assert a.tobytes() == e.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.25, 0.3], ids=["p0", "1-bit", "2-bit", "non-dyadic"])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    @pytest.mark.parametrize("heads_per_group", [1, 2, 100])
+    @pytest.mark.parametrize("s", [5, 7, 11, 13])
+    def test_bit_identical_to_the_composite_ops(self, monkeypatch, dtype, p, b, heads_per_group, s):
+        # 3 heads per sample, so groups of 2 heads cut every sample unevenly
+        # and a grouping of the flattened (sample, head) slices would
+        # straddle samples; S * S is odd, so every group but the first
+        # starts its run of keep bits mid-byte
+        self._assert_bit_identical(monkeypatch, dtype, b, s, 3, p, heads_per_group)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.5, 0.25, 0.3], ids=["1-bit", "2-bit", "non-dyadic"])
+    @pytest.mark.parametrize("heads_per_group", [1, 2, 100])
+    def test_reference_length_is_bit_identical_to_the_composite_ops(self, monkeypatch, dtype, p,
+                                                                    heads_per_group):
+        # 264 tokens: every group's keep bits start on a byte
+        self._assert_bit_identical(monkeypatch, dtype, 2, 264, 3, p, heads_per_group)
 
     def test_reference_shape_is_bit_identical_to_the_composite_ops(self):
         got, want = (self._run(fused, np.float32, 1, 264, 32, 0.5) for fused in (True, False))
         for a, e in zip(got, want):
             assert a.tobytes() == e.tobytes()
 
+    @pytest.mark.parametrize("s", [7, 16])
+    def test_recorded_op_holds_the_keep_mask_as_bits(self, s):
+        # the backward captures no bool or float array of B*H*S*S elements,
+        # and no more mask than one bit per weight
+        b, h = 3, 5
+        q, k, v = (Tensor(self._heads(np.float32, b, s, h, j), requires_grad=True)
+                   for j in range(3))
+        keep = Rng(1).keep_bits(0.5, (b, h, s, s))
+        out = tensor._attention_dh1(q, k, v, keep, np.float32(2.0))
+        weights = b * h * s * s
+        captured = [c.cell_contents for c in out._backward.__closure__
+                    if isinstance(c.cell_contents, np.ndarray)]
+        assert any(a is keep for a in captured)
+        for a in captured:
+            owner = a if a.base is None else a.base
+            if a.dtype.kind in "bf":
+                assert a.size < weights and owner.size < weights, (a.dtype, a.shape)
+            else:
+                assert a.dtype == np.uint8 and a.nbytes <= -(-weights // 8)
+                assert owner.nbytes < -(-weights // 8) + 8  # whole 64-bit words
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("p", [0.0, 0.5, 0.3], ids=["p0", "dyadic", "non-dyadic"])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.25, 0.3], ids=["p0", "1-bit", "2-bit", "non-dyadic"])
     @pytest.mark.parametrize("b", [1, 2, 3])
-    def test_layer_gradients_are_bit_identical_to_the_composite_graph(self, dtype, p, b):
+    @pytest.mark.parametrize("heads_per_group", [1, 2, 100])
+    @pytest.mark.parametrize("s", [5, 7, 9, 13])
+    def test_layer_gradients_are_bit_identical_to_the_composite_graph(self, monkeypatch, dtype, p,
+                                                                      b, heads_per_group, s):
         # through the projections: the gradients of x (which the q, k and v
         # projections add up in the composite's order) and of every weight,
-        # and the dropout stream's next draw
-        s, d = 9, 6
+        # and the dropout stream's next draw; S * S is odd, so the groups'
+        # runs of keep bits start mid-byte
+        d = 6
+        monkeypatch.setattr(tensor, "_SCORE_BYTES",
+                            heads_per_group * 3 * s * s * np.dtype(dtype).itemsize)
         x = _signed_values(dtype, (b, s, d), 1)
         params = [_signed_values(dtype, shape, 2 + j) * dtype(0.5)
                   for j, shape in enumerate([(d, d), (d,)] * 4)]
@@ -744,7 +784,8 @@ class TestFusedAttention:
 
     def test_recorded_step_keeps_no_score_array(self, np_rng, pool_sizes):
         # the reference shape: 264 tokens, 32 heads of width 1, dropout 0.5;
-        # one (4, 32, 264, 264) float32 array is 34 MiB, its bool keep-mask 8.5
+        # one (4, 32, 264, 264) float32 array is 34 MiB, a bool keep-mask
+        # 8.5 and the packed bits the op keeps 1.1
         x = Tensor(np_rng.normal(size=(4, 264, 32)).astype(np.float32), requires_grad=True)
         params = [Tensor(p.data.astype(np.float32), requires_grad=True)
                   for p in TestAttention()._params(np_rng, 32)]
@@ -760,8 +801,8 @@ class TestFusedAttention:
             finally:
                 tracemalloc.stop()
             assert x.grad is not None and np.isfinite(x.grad).all()
-            # the keep-mask, a quarter of one score array, and some slack
-            assert peak < score_bytes // 2, (size, peak)
+            # a quarter of one score array: the bool keep-mask alone would break it
+            assert peak < score_bytes // 4, (size, peak)
             x.grad = None
             for p in params:
                 p.grad = None
