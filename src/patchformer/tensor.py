@@ -215,10 +215,10 @@ _SHORT_AXIS = 8
 _COLUMN_BYTES = 32 << 20
 _PART_BYTES = 4 << 20
 
-# Cap on the score block of the no-graph attention core: (batch, head) slices
-# are scored, normalized and applied to v in groups whose S x S scores fit
-# this many bytes, so each group's passes stay in a per-core L2 cache. The
-# recorded softmax walks its rows in blocks of the same size.
+# Cap on the score block of the attention core: (batch, head) slices are
+# scored, normalized and applied to v in groups whose S x S scores fit this
+# many bytes, so each group's passes stay in a per-core L2 cache. The
+# no-graph conv block finishes its rows in blocks of the same size.
 _SCORE_BYTES = 1 << 20
 
 # Cap on the score blocks the no-graph attention core holds at once: it fans
@@ -252,40 +252,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if keep:
         grad = grad.sum(axis=keep, keepdims=True)
     return grad.reshape(shape)
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for operands of at least 2 axes. When the contracted axis has
-    length 1 the product is an outer product: one multiply per element, as
-    matmul computes it, so the values are equal (an exact-zero product may
-    keep a sign matmul drops). order="C" keeps the result contiguous even
-    when the operands are transposed views.
-
-    4-D operands with the same leading axis (the attention products) are
-    cut along it into blocks of about _SCORE_BYTES, fanned out over the
-    kernel pool; a product of one block is computed whole. Every slice
-    keeps its operand's strides and each matrix product is computed on its
-    own, so the values do not depend on the cut.
-    """
-    outer = a.shape[-1] == 1 and b.shape[-2] == 1
-    blocks = 1
-    if a.ndim == b.ndim == 4 and a.shape[0] == b.shape[0] > 1:
-        shape = (a.shape[0], b.shape[1] if a.shape[1] == 1 else a.shape[1],
-                 a.shape[2], b.shape[3])
-        dtype = np.result_type(a, b)
-        row_bytes = max(math.prod(shape), a.size, b.size) // shape[0] * dtype.itemsize
-        step = max(1, _SCORE_BYTES // max(1, row_bytes))
-        blocks = -(-shape[0] // step)
-    if blocks == 1:
-        return np.multiply(a, b, order="C") if outer else a @ b
-    out = np.empty(shape, dtype=dtype)
-    product = np.multiply if outer else np.matmul
-
-    def task(_, lo, hi):
-        product(a[lo:hi], b[lo:hi], out=out[lo:hi])
-
-    _fan_out(task, _parts(shape[0], step))
-    return out
 
 
 class Tensor:
@@ -391,14 +357,14 @@ class Tensor:
         other = self._coerce(other)
         if self.ndim < 2 or other.ndim < 2:
             raise ShapeError("matmul operands must have at least 2 axes")
-        data = _matmul(self.data, other.data)
+        data = self.data @ other.data
 
         def bw(g):
             ga = gb = None
             if self.requires_grad:
-                ga = _unbroadcast(_matmul(g, np.swapaxes(other.data, -1, -2)), self.shape)
+                ga = _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape)
             if other.requires_grad:
-                gb = _unbroadcast(_matmul(np.swapaxes(self.data, -1, -2), g), other.shape)
+                gb = _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape)
             return ga, gb
 
         return Tensor._from_op(data, (self, other), bw)
@@ -576,74 +542,22 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     return Tensor._from_op(data, (x,), bw)
 
 
-def _softmax(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Stable softmax of `a` along one axis, into `out` (which may be `a`)."""
-    y = np.subtract(a, a.max(axis=axis, keepdims=True), out=out)
+def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
+    """Stable softmax of `a` along one axis, no graph."""
+    y = a - a.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
     return y
 
 
-def _row_step(row_bytes: int) -> int:
-    """Rows per block when each row takes `row_bytes`: as many as fit in
-    _SCORE_BYTES, at least one."""
-    return max(1, _SCORE_BYTES // row_bytes)
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along one axis (max subtraction before exponentiation).
-
-    Over the last axis of a C-contiguous input, forward and backward walk
-    blocks of rows whose arrays (input and output; cotangent, output and
-    gradient) fit in _SCORE_BYTES together, so each row's passes stay in
-    cache and backward makes no full-size temporary. The blocks are fanned
-    out over the kernel pool. The per-row operations are those of the
-    whole-array formulas, so the values are bit-identical to them; other
-    inputs use those formulas.
-    """
-    a = x.data
-    blocked = a.ndim > 0 and a.size > 0 and a.flags.c_contiguous and axis in (-1, a.ndim - 1)
-    if blocked:
-        width = a.shape[-1]
-        y = np.empty_like(a)
-        rows, y_rows = a.reshape(-1, width), y.reshape(-1, width)
-        step = _row_step(2 * width * a.itemsize)
-
-        def task(_, lo, hi):
-            for block in _blocks(lo, hi, step):
-                _softmax(rows[block], -1, out=y_rows[block])
-
-        _fan_out(task, _parts(len(rows), step))
-    else:
-        y = _softmax(a, axis)
+    """Stable softmax along one axis (max subtraction before exponentiation)."""
+    y = _softmax(x.data, axis)
 
     def bw(g):
-        if not (blocked and g.flags.c_contiguous):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            return ((g - dot) * y,)
-        return (_softmax_grad_rows(g, y),)
+        return ((g - (g * y).sum(axis=axis, keepdims=True)) * y,)
 
     return Tensor._from_op(y, (x,), bw)
-
-
-def _softmax_grad_rows(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`(g - (g * y).sum(-1, keepdims=True)) * y` for C-contiguous g and y,
-    one block of rows at a time, `g * y` held in the block's rows of the
-    result; the blocks are fanned out over the kernel pool."""
-    width = y.shape[-1]
-    g_rows, y_rows = g.reshape(-1, width), y.reshape(-1, width)
-    dx = np.empty(g_rows.shape, dtype=np.result_type(g, y))
-    step = _row_step(3 * width * dx.itemsize)
-
-    def task(_, lo, hi):
-        for block in _blocks(lo, hi, step):
-            g_block, y_block, out = g_rows[block], y_rows[block], dx[block]
-            dot = np.multiply(g_block, y_block, out=out).sum(axis=-1, keepdims=True)
-            np.subtract(g_block, dot, out=out)
-            out *= y_block
-
-    _fan_out(task, _parts(len(dx), step))
-    return dx.reshape(g.shape)
 
 
 def _check_dropout(p: float, mode: str) -> None:
@@ -662,48 +576,13 @@ def dropout(x: Tensor, p: float, rng=None, mode: str = "train") -> Tensor:
         raise ValueError("train-mode dropout needs an Rng")
     keep = rng.keep_mask(p, x.shape)
     scale = x.data.dtype.type(1.0 / (1.0 - p))
-    if _blocked(x.data, x.data):
-        factor, data = np.empty_like(x.data), np.empty_like(x.data)
-        _blocked_product(x.data, factor, data, keep, scale)
-    else:
-        factor = np.multiply(keep, scale, dtype=x.data.dtype)
-        data = x.data * factor
+    factor = np.multiply(keep, scale, dtype=x.data.dtype)
+    data = x.data * factor
 
     def bw(g):
-        if not _blocked(g, factor):
-            return (g * factor,)
-        gx = np.empty(g.shape, dtype=np.result_type(g, factor))
-        _blocked_product(g, factor, gx)
-        return (gx,)
+        return (g * factor,)
 
     return Tensor._from_op(data, (x,), bw)
-
-
-def _blocked(a: np.ndarray, factor: np.ndarray) -> bool:
-    """Whether `a * factor` takes _blocked_product: C-contiguous arrays of one
-    shape spanning more than one block."""
-    return (a.flags.c_contiguous and a.shape == factor.shape
-            and a.size * 2 * factor.itemsize > _SCORE_BYTES)
-
-
-def _blocked_product(a: np.ndarray, factor: np.ndarray, out: np.ndarray,
-                     keep: np.ndarray | None = None, scale=None) -> None:
-    """out = a * factor for C-contiguous arrays of one shape, in blocks of
-    _SCORE_BYTES / 2 bytes of factor, fanned out over the kernel pool.
-    With `keep`, each block of factor is first set to keep * scale, so both
-    passes find the block in cache. Elementwise, so the values do not depend
-    on the blocks."""
-    a, f, o = a.reshape(-1), factor.reshape(-1), out.reshape(-1)
-    k = None if keep is None else keep.reshape(-1)
-    step = max(1, _SCORE_BYTES // (2 * f.itemsize))
-
-    def task(_, lo, hi):
-        for block in _blocks(lo, hi, step):
-            if k is not None:
-                np.multiply(k[block], scale, out=f[block], dtype=f.dtype)
-            np.multiply(a[block], f[block], out=o[block])
-
-    _fan_out(task, _parts(len(o), step))
 
 
 # ---------------------------------------------------------------------------
@@ -1126,7 +1005,7 @@ def _conv_block(x: Tensor, kernels: Tensor, bias: Tensor, bn: BatchNormState,
     s = dtype.type(slope)
     pooled = np.empty((b, f_out, c, n), dtype=dtype)
     pooled_rows = pooled.reshape(b * f_out, c, n)
-    step = _row_step(c * t * dtype.itemsize)
+    step = max(1, _SCORE_BYTES // (c * t * dtype.itemsize))
 
     def epilogue(o, lo):
         o = o.reshape(-1, c * t)
@@ -1301,7 +1180,7 @@ def _attention_dh1(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray | None, sca
     each group's softmax in a reused buffer, decodes the group's dropout
     factor again, and runs the composite graph's per-slice backward
     operations on the operands' own strides: g v^T, times the dropout
-    factor; `_softmax_grad_rows`'s formula for dS; then dS k, q^T dS and
+    factor; `softmax`'s backward formula for dS; then dS k, q^T dS and
     attn^T g. So the gradients are bit-identical to the composite's. Groups
     are _head_groups of three S x S buffers, fanned out over the kernel pool.
     """
@@ -1363,7 +1242,8 @@ def multi_head_attention(
     `_attention_dh1`, which holds no (B, H, S, S) float or bool array (its
     keep-mask is drawn as packed bits, `Rng.keep_bits`). Wider heads
     run `_attention_core` when no graph is recorded and dropout is off, and
-    otherwise record q @ k^T -> softmax -> dropout -> @ v. All paths compute
+    otherwise record q @ k^T -> softmax -> dropout -> @ v as plain numpy
+    ops, which hold every (B, H, S, S) array of the graph. All paths compute
     the same values and draw the same keep-mask.
     """
     squeeze = x.ndim == 2
@@ -1374,8 +1254,7 @@ def multi_head_attention(
     b, s, d = x.shape
     if d % n_head != 0:
         raise ConfigurationError(f"model width {d} is not divisible by {n_head} heads")
-    if dropout_p > 0:
-        _check_dropout(dropout_p, mode)
+    _check_dropout(dropout_p, mode)
     dh = d // n_head
 
     def split_heads(t: Tensor) -> Tensor:
@@ -1397,8 +1276,7 @@ def multi_head_attention(
         ctx = _attention_dh1(q, k, v, keep, scale)
     elif recording(q, k, v) or train_dropout:
         weights = softmax(q @ k.transpose(0, 1, 3, 2), axis=-1)
-        attn = dropout(weights, dropout_p, rng, mode) if dropout_p > 0 else weights
-        ctx = attn @ v
+        ctx = dropout(weights, dropout_p, rng, mode) @ v
     else:
         ctx = Tensor(_attention_core(q.data, k.data, v.data))
     out = linear(ctx.transpose(0, 2, 1, 3).reshape(b, s, d), wo, bo)

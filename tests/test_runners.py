@@ -86,10 +86,12 @@ class TestRunLoso:
     @pytest.mark.parametrize("parallel_folds", [2, 3])
     def test_kernel_pool_never_exceeds_the_workers_share(self, micro_dataset, micro_config,
                                                          monkeypatch, parallel_folds):
+        monkeypatch.setattr(tensor, "_PART_BYTES", 1)  # forked fold workers inherit it
+
         def run_kernels(model, fold, tc, rng, log_fn=None):  # best_epoch: pool size, threads
-            rows = np.ones((4 * tensor._SCORE_BYTES // 64, 8))  # many row blocks
-            with tensor.no_grad():
-                tensor.softmax(Tensor(rows))
+            x, kernels, bias = np.ones((64, 1, 2, 16)), np.ones((2, 1, 1, 3)), np.ones(2)
+            with tensor.no_grad():  # 64 samples, one a part: many parts
+                tensor.conv_temporal(Tensor(x), Tensor(kernels), Tensor(bias))
             threads = [t for t in threading.enumerate() if t.name.startswith("patchformer-kernel")]
             return model.state_dict(), (tensor.pool_threads(), len(threads)), []
 

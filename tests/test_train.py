@@ -1,5 +1,7 @@
 """Training loop: selection, determinism, invariants."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,25 @@ class TestTrainLoop:
 
         acc = accuracy(probs.argmax(axis=1), small_fold.val.y)
         assert acc == pytest.approx(history[best_epoch]["val_acc"])
+
+    def test_a_step_graph_is_freed_before_the_next_forward(self, small_loso_config,
+                                                           small_fold, monkeypatch):
+        # the loss holds the logits, and the logits their data: the data's
+        # weakref is dead only once neither the logits nor the loss is held
+        model = build(small_loso_config, Rng(2))
+        forward, refs = model.forward, []
+
+        def checked_forward(x, mode="eval", rng=None):
+            if mode == "train":
+                assert all(ref() is None for ref in refs), f"step {len(refs) - 1} still held"
+            logits = forward(x, mode, rng)
+            if mode == "train":
+                refs.append(weakref.ref(logits.data))
+            return logits
+
+        monkeypatch.setattr(model, "forward", checked_forward)
+        train(model, small_fold, quick_tc(epochs=1, batch_size=8), Rng(3))
+        assert len(refs) > 2
 
 
 class TestTinyOverfit:
