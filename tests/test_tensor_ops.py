@@ -354,6 +354,23 @@ class TestSoftmax:
             np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1000, 1, 7, 8], ids=["1000-rows", "1-row", "7-rows", "8-rows"])
+    def test_any_score_budget_takes_the_whole_array_formulas(self, monkeypatch, dtype, rows):
+        # 105 rows of 13, under budgets of whole, single and odd row counts:
+        # softmax stays one whole-array pass on the calling thread
+        x = _signed_values(dtype, (3, 5, 7, 13), 5) * dtype(4)
+        g = _signed_values(dtype, x.shape, 6)
+        monkeypatch.setattr(tensor, "_SCORE_BYTES", 4 * rows * 13 * x.itemsize)
+
+        def no_fan_out(task, parts):
+            raise AssertionError("softmax fanned out")
+
+        monkeypatch.setattr(tensor, "_fan_out", no_fan_out)
+        for axis in (-1, 3):
+            self._assert_bit_identical(self._forward_backward(x, axis, g),
+                                       oracles.softmax_composite(x, axis, g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_other_axes_and_strided_arrays_take_the_whole_array_formulas(
             self, dtype):
         x = _signed_values(dtype, (6, 5, 13), 7)
@@ -383,6 +400,27 @@ class TestMatmul:
         unb = tensor._unbroadcast
         return (np.matmul(a, b), unb(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape),
                 unb(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((5, 1), (1, 4)), ((2, 1, 5, 1), (3, 1, 4)), ((3, 2, 6, 1), (3, 2, 1, 6)),
+    ], ids=["2d", "broadcast-batch", "heads"])
+    def test_outer_product_forward_equals_matmul(self, dtype, a_shape, b_shape):
+        a = _signed_values(dtype, a_shape, 1)
+        b = _signed_values(dtype, b_shape, 2)
+        out = (Tensor(a) @ Tensor(b)).data
+        assert out.flags.c_contiguous and out.dtype == dtype
+        np.testing.assert_array_equal(out, np.matmul(a, b))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outer_product_of_transposed_head_views_is_contiguous(self, dtype):
+        # q and k^T as attention takes them: (B, S, H, 1) split into heads
+        q = _signed_values(dtype, (2, 9, 3, 1), 3).transpose(0, 2, 1, 3)
+        k = _signed_values(dtype, (2, 9, 3, 1), 4).transpose(0, 2, 3, 1)
+        assert not q.flags.c_contiguous and not k.flags.c_contiguous
+        out = (Tensor(q) @ Tensor(k)).data
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, np.matmul(q, k))
 
     @pytest.mark.parametrize("a_shape, b_shape", [((3, 1), (3, 4)), ((4, 4), (1, 4))])
     def test_a_length_one_axis_that_is_not_contracted_still_mismatches(self, a_shape, b_shape):
