@@ -166,12 +166,16 @@ class ModelConfig:
         for gi, group in enumerate(self.graphs):
             if len(group) == 0:
                 bad(f"local graph {gi} is empty")
+            own = set()
             for ch in group:
                 if not 0 <= int(ch) < self.c:
                     bad(f"local graph {gi} references channel {ch}, valid range is [0, {self.c})")
+                if int(ch) in own:
+                    bad(f"local graph {gi} lists channel {ch} more than once")
                 if int(ch) in seen:
                     bad(f"channel {ch} appears in more than one local graph")
-                seen.add(int(ch))
+                own.add(int(ch))
+            seen |= own
 
         if self.l_step < 1:
             bad(f"l_step must be >= 1, got {self.l_step}")

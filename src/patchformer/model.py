@@ -91,16 +91,11 @@ def parameter_shapes(config: ModelConfig) -> dict:
 
 
 def buffer_shapes(config: ModelConfig) -> dict:
-    """Non-trainable state (batch-norm running statistics)."""
-    k = config.k
-    out = {"tcnn.bn.running_mean": (k,), "tcnn.bn.running_var": (k,)}
-    if config.has_fem:
-        out["fem.bn.running_mean"] = (k,)
-        out["fem.bn.running_var"] = (k,)
-    if config.has_spm:
-        out["spm.global.bn.running_mean"] = (k,)
-        out["spm.global.bn.running_var"] = (k,)
-    return out
+    """Non-trainable state: each batch norm's running mean and variance, of
+    its gamma's shape, in parameter_shapes() order."""
+    return {name.removesuffix("gamma") + stat: shape
+            for name, shape in parameter_shapes(config).items() if name.endswith(".bn.gamma")
+            for stat in ("running_mean", "running_var")}
 
 
 def param_count(config: ModelConfig) -> int:
@@ -111,13 +106,11 @@ def param_count(config: ModelConfig) -> int:
 
 def _init_value(name: str, shape: tuple, rng: Rng) -> np.ndarray:
     """Initializer policy: what array a parameter starts from."""
-    if name == "spm.local.weight":
-        return np.ones(shape)
-    if name.endswith("bn.gamma") or name.endswith("norm1.gamma") or name.endswith("norm2.gamma"):
+    if name == "spm.local.weight" or name.endswith(".gamma"):
         return np.ones(shape)
     if name == "tpm.pos":
         return rng.normal(0.0, 0.02, shape)
-    if name.endswith(".bias") or name.endswith(".beta") or name == "spm.local.bias":
+    if name.endswith((".bias", ".beta")):
         return np.zeros(shape)
     if name.endswith("kernels"):
         fan_in = int(np.prod(shape[1:]))

@@ -31,9 +31,9 @@ DEFAULT_DTYPE = np.float32
 
 # glibc serves blocks of at least 32 MiB from fresh mmaps and unmaps them on
 # free, so every attention-sized array of a reference train step
-# ((4, 32, 264, 264) float32 is 34 MiB) was faulted in page by page. Only
-# recording (training) forwards build these S x S arrays; a no-graph forward
-# scores attention in _SCORE_BYTES blocks. Raising the mmap and trim
+# ((4, 32, 264, 264) float32 is 34 MiB) was faulted in page by page. Only the
+# composite attention of heads wider than 1 builds these S x S arrays now;
+# width-1 heads score in _SCORE_BYTES blocks. Raising the mmap and trim
 # thresholds to 1 GiB, above the 571 MiB largest array of the paper's B=64
 # recipe, keeps freed step arrays on malloc's free lists for the next step to
 # reuse. malloc also keeps one arena: each kernel pool thread would otherwise
@@ -215,15 +215,16 @@ _SHORT_AXIS = 8
 _COLUMN_BYTES = 32 << 20
 _PART_BYTES = 4 << 20
 
-# Cap on the score block of the attention core: (batch, head) slices are
+# Cap on the score block of the width-1 attention op: (batch, head) slices are
 # scored, normalized and applied to v in groups whose S x S scores fit this
 # many bytes, so each group's passes stay in a per-core L2 cache. The
 # no-graph conv block finishes its rows in blocks of the same size.
 _SCORE_BYTES = 1 << 20
 
-# Cap on the score blocks the no-graph attention core holds at once: it fans
-# out over as many parts (one block each) as fit, so its scratch does not
-# grow with the kernel pool's size.
+# Cap on the score blocks one pass of the width-1 attention op, forward or
+# backward, holds at once: it fans out over as many parts (one block each) as
+# fit, so its scratch does not grow with the kernel pool's size. Wider heads
+# run the composite graph, whose S x S arrays are whole (B, H, S, S) arrays.
 _SCORE_SCRATCH_BYTES = 3 << 20
 
 
@@ -1028,17 +1029,6 @@ def _conv_block(x: Tensor, kernels: Tensor, bias: Tensor, bn: BatchNormState,
 # ---------------------------------------------------------------------------
 
 
-def _dh1_stats(q: np.ndarray, k: np.ndarray) -> tuple:
-    """(k^T, row max, row sum) for heads of width 1, q and k (..., S, 1): a
-    contiguous k^T (..., 1, S); the row maxima of the scores q_i * k_j
-    without the scores (rounding is monotone, so a row's max is q_i * max(k)
-    where q_i >= 0 and q_i * min(k) elsewhere); and an empty (..., S, 1)
-    array for the rows' softmax denominators, which `_attention_core` fills."""
-    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
-    rowmax = q * np.where(q >= 0, kt.max(axis=-1, keepdims=True), kt.min(axis=-1, keepdims=True))
-    return kt, rowmax, np.empty(q.shape, dtype=np.result_type(q, k))
-
-
 def _outer(col: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarray:
     """col * row of (n, S, 1) and contiguous (n, 1, S) into `out`: the
     column copied into every column of `out`, then multiplied by the row.
@@ -1113,44 +1103,39 @@ def _keep_factor(keep: np.ndarray, table: np.ndarray, dims: tuple, start: int,
     return out[skip:skip + n].reshape(dims)
 
 
-def _exp_scores(q: np.ndarray, kt: np.ndarray, rowmax: np.ndarray | None,
-                out: np.ndarray) -> np.ndarray:
-    """exp(q k^T - row max) of one group into `out`, `_softmax`'s operations
-    before its division: at d_head = 1 the scores are the outer product
-    q_i * k_j (kt contiguous) and `rowmax` their row maxima; else one matmul
-    per slice and the scores' own row maxima."""
-    if rowmax is None:
-        np.matmul(q, kt, out=out)
-        rowmax = out.max(axis=-1, keepdims=True)
-    else:
-        _outer(q, kt, out)
+def _exp_scores(q: np.ndarray, kt: np.ndarray, rowmax: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(q k^T - row max) of one group of width-1 heads into `out`,
+    `_softmax`'s operations before its division: the scores are the outer
+    product q_i * k_j (kt contiguous) and `rowmax` their row maxima."""
+    _outer(q, kt, out)
     np.subtract(out, rowmax, out=out)
     return np.exp(out, out=out)
 
 
-def _attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep: np.ndarray | None = None,
-                    scale=None, stats: tuple | None = None) -> np.ndarray:
-    """softmax(q k^T) v over the last two axes of (B, H, S, dh) arrays, no
-    graph; with a keep-mask of (B, H, S, S) weights, given as packed bits
-    (`Rng.keep_bits`), softmax(q k^T) * (keep * scale) v. At d_head = 1,
-    `stats` is `_dh1_stats(q, k)` when the caller keeps it.
+def _dh1_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep: np.ndarray | None,
+                 scale) -> tuple:
+    """(ctx, kt, rowmax, rowsum) of (B, H, S, 1) heads, no graph: ctx is
+    softmax(q k^T) v, or with a keep-mask of (B, H, S, S) weights, given as
+    packed bits (`Rng.keep_bits`), softmax(q k^T) * (keep * scale) v; the
+    rest is what backward needs, a contiguous k^T (B, H, 1, S) and each
+    row's max and softmax denominator (B, H, S, 1). The row maxima come
+    without the scores: rounding is monotone, so a row's max is
+    q_i * max(k) where q_i >= 0 and q_i * min(k) elsewhere.
 
     The (sample, head) slices go in _head_groups through reused score
     buffers, so no (B, H, S, S) float or bool array exists: each group
     decodes only its own run of the keep-mask's bits into dropout's factor
     (`_keep_factor`, whose table holds dropout's own products keep * scale).
     Each group runs the composite ops' own per-slice operations on the
-    operands' own strides: the scores' matmul (an outer product at
-    d_head = 1), `_softmax`'s row max, subtract, exp, sum and divide,
-    dropout's product, and the matmul with v. So the result is
-    bit-identical to `dropout(softmax(q @ k^T)) @ v`.
+    operands' own strides: the scores' outer product, `_softmax`'s
+    subtract, exp, sum and divide, dropout's product, and the matmul with
+    v. So ctx is bit-identical to `dropout(softmax(q @ k^T)) @ v`.
     """
-    b, h, s, dh = q.shape
-    if stats is None:
-        stats = _dh1_stats(q, k) if dh == 1 else (k.swapaxes(-1, -2), None, None)
-    kt, rowmax, rowsum = stats
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    rowmax = q * np.where(q >= 0, kt.max(axis=-1, keepdims=True), kt.min(axis=-1, keepdims=True))
     dtype = np.result_type(q, k)
-    ctx = np.empty((b, h, s, dh), dtype=np.result_type(dtype, v))
+    rowsum = np.empty(q.shape, dtype=dtype)
+    ctx = np.empty(q.shape, dtype=np.result_type(dtype, v))
     groups, parts, bufs = _head_groups(q.shape, dtype, 1 if keep is None else 2)
     table = None if keep is None else np.multiply(_BYTE_BITS, scale, dtype=dtype)
 
@@ -1158,15 +1143,15 @@ def _attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep: np.ndarra
         for group in groups[lo:hi]:
             dims, start = _group_run(q.shape, group)
             attn = _group_buffers(bufs[p], dims)[0]
-            _exp_scores(q[group], kt[group], None if rowmax is None else rowmax[group], attn)
-            attn /= attn.sum(axis=-1, keepdims=True, out=None if rowsum is None else rowsum[group])
+            _exp_scores(q[group], kt[group], rowmax[group], attn)
+            attn /= attn.sum(axis=-1, keepdims=True, out=rowsum[group])
             if keep is not None:
                 factor = _keep_factor(keep, table, dims, start, bufs[p][1])
                 attn = np.multiply(attn, factor, out=factor)
             np.matmul(attn, v[group], out=ctx[group])
 
     _fan_out(task, parts)
-    return ctx
+    return ctx, kt, rowmax, rowsum
 
 
 def _attention_dh1(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray | None, scale) -> Tensor:
@@ -1174,7 +1159,7 @@ def _attention_dh1(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray | None, sca
     dropout given as its keep-mask in packed bits (`Rng.keep_bits`; None:
     no dropout) and scale.
 
-    Forward is `_attention_core`. The graph holds q, k, v, each row's max
+    Forward is `_dh1_forward`. The graph holds q, k, v, each row's max
     and softmax denominator, the output and the packed keep-mask, one bit
     per weight: no (B, H, S, S) float or bool array. Backward recomputes
     each group's softmax in a reused buffer, decodes the group's dropout
@@ -1185,8 +1170,7 @@ def _attention_dh1(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray | None, sca
     are _head_groups of three S x S buffers, fanned out over the kernel pool.
     """
     qd, kd, vd = q.data, k.data, v.data
-    kt, rowmax, rowsum = stats = _dh1_stats(qd, kd)
-    ctx = _attention_core(qd, kd, vd, keep, scale, stats)
+    ctx, kt, rowmax, rowsum = _dh1_forward(qd, kd, vd, keep, scale)
 
     def bw(g):
         dtype = np.result_type(g, qd, kd, vd)
@@ -1237,14 +1221,15 @@ def multi_head_attention(
 
     x is (S, D) or (B, S, D); the model width D must divide evenly into
     n_head heads, each scoring with 1/sqrt(D / n_head) scaling. Dropout, when
-    requested, is applied to the attention weights. Heads of width 1 (the
-    paper's 32 heads on 32-dim tokens) always run as one op,
-    `_attention_dh1`, which holds no (B, H, S, S) float or bool array (its
-    keep-mask is drawn as packed bits, `Rng.keep_bits`). Wider heads
-    run `_attention_core` when no graph is recorded and dropout is off, and
-    otherwise record q @ k^T -> softmax -> dropout -> @ v as plain numpy
-    ops, which hold every (B, H, S, S) array of the graph. All paths compute
-    the same values and draw the same keep-mask.
+    requested, is applied to the attention weights. The path depends on the
+    head width alone, in every mode (train, eval, no_grad):
+    - heads of width 1 (the paper's 32 heads on 32-dim tokens) run one op,
+      `_attention_dh1`, which holds no (B, H, S, S) float or bool array (its
+      keep-mask is drawn as packed bits, `Rng.keep_bits`);
+    - wider heads run q @ k^T -> softmax -> dropout -> @ v as plain numpy
+      ops, which build whole (B, H, S, S) arrays, also in a forward that
+      records no graph.
+    Both compute the composite's values and draw the same keep-mask.
     """
     squeeze = x.ndim == 2
     if squeeze:
@@ -1265,19 +1250,16 @@ def multi_head_attention(
     k = split_heads(linear(x, wk, bk))
     v = split_heads(linear(x, wv, bv))
 
-    train_dropout = dropout_p > 0 and mode == "train"
     if dh == 1:
         keep = scale = None
-        if train_dropout:
+        if dropout_p > 0 and mode == "train":
             if rng is None:
                 raise ValueError("train-mode dropout needs an Rng")
             keep = rng.keep_bits(dropout_p, (b, n_head, s, s))
             scale = np.result_type(q.data, k.data).type(1.0 / (1.0 - dropout_p))
         ctx = _attention_dh1(q, k, v, keep, scale)
-    elif recording(q, k, v) or train_dropout:
+    else:
         weights = softmax(q @ k.transpose(0, 1, 3, 2), axis=-1)
         ctx = dropout(weights, dropout_p, rng, mode) @ v
-    else:
-        ctx = Tensor(_attention_core(q.data, k.data, v.data))
     out = linear(ctx.transpose(0, 2, 1, 3).reshape(b, s, d), wo, bo)
     return out.reshape(s, d) if squeeze else out

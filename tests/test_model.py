@@ -59,6 +59,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="more than one"):
             cfg.validate()
 
+    # a channel in two graphs and a channel twice in one graph are different causes
+    @pytest.mark.parametrize("graphs, message", [
+        ([[0, 1], [1, 2]], "channel 1 appears in more than one local graph"),
+        ([[0, 0], [1]], "local graph 0 lists channel 0 more than once"),
+        ([[0], [1, 2, 1]], "local graph 1 lists channel 1 more than once"),
+    ], ids=["two-graphs", "repeat-first", "repeat-later"])
+    def test_shared_or_repeated_channel_named(self, graphs, message):
+        cfg = ModelConfig(c=4, l=64, f_s=16.0, k=4, local_graphs=graphs,
+                          l_t=4, l_step=2, l_token=8, n_head=2)
+        with pytest.raises(ConfigurationError, match=message):
+            cfg.validate()
+
     def test_head_divisibility(self):
         cfg = ModelConfig(c=4, l=64, f_s=16.0, l_token=30, n_head=4,
                           local_graphs=[[0], [1], [2], [3]], l_t=4)
@@ -424,6 +436,15 @@ class TestAblations:
         assert list(model.buffers) == list(buffer_shapes(cfg))
         assert {n: p.shape for n, p in model.parameters.items()} == parameter_shapes(cfg)
         assert {n: b.shape for n, b in model.buffers.items()} == buffer_shapes(cfg)
+
+    @pytest.mark.parametrize("ablation, norms", [
+        ("full", ["tcnn", "fem", "spm.global"]), ("no_fem", ["tcnn", "spm.global"]),
+        ("no_spm", ["tcnn", "fem"]), ("no_overlap", ["tcnn", "fem", "spm.global"])])
+    def test_buffers_are_each_batch_norms_running_statistics(self, ablation, norms):
+        cfg = reference_config(ablation=ablation)
+        want = {f"{norm}.bn.{stat}": (cfg.k,)
+                for norm in norms for stat in ("running_mean", "running_var")}
+        assert list(buffer_shapes(cfg).items()) == list(want.items())
 
     @pytest.mark.parametrize("ablation, stage", [("no_fem", "feature_enhance"),
                                                  ("no_spm", "spm_local_filter"),

@@ -36,9 +36,9 @@ def _values(dtype, shape, seed):
     return a
 
 
-def _attention_core(dh):
-    q, k, v = (_values(np.float32, (3, 5, 20, dh), seed) for seed in (1, 2, 3))
-    return [tensor._attention_core(q, k, v)]
+def _attention_core_dh1():
+    q, k, v = (_values(np.float32, (3, 5, 20, 1), seed) for seed in (1, 2, 3))
+    return list(tensor._dh1_forward(q, k, v, None, None))
 
 
 def _attention_train_dh1():
@@ -91,8 +91,7 @@ SAMPLE_COLS = 2 * 5 * 3 * 17 * 4  # column bytes of one sample of a conv case at
 CONV_CAPS = {k: {"_COLUMN_BYTES": 4 * SAMPLE_COLS * k // 5, "_PART_BYTES": SAMPLE_COLS * k // 5}
              for k in (1, 5)}  # chunks of 4 and 3 samples, one sample a part
 CASES = {
-    "attention_core_dh1": (lambda: _attention_core(1), {"_SCORE_BYTES": 2 * 20 * 20 * 4}),
-    "attention_core_dh4": (lambda: _attention_core(4), {"_SCORE_BYTES": 2 * 20 * 20 * 4}),
+    "attention_core_dh1": (_attention_core_dh1, {"_SCORE_BYTES": 2 * 20 * 20 * 4}),
     # backward groups of 2 heads, forward groups of 3: 9 and 6 groups
     "attention_train_dh1": (_attention_train_dh1, {"_SCORE_BYTES": 2 * 3 * 20 * 20 * 4}),
     "softmax": (_softmax, {"_SCORE_BYTES": 4 * 3 * 13 * 4}),

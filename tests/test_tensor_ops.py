@@ -1,5 +1,6 @@
 """Forward semantics of the differentiable kernels."""
 
+import contextlib
 import ctypes
 import tracemalloc
 
@@ -577,12 +578,12 @@ class TestAttention:
         assert not out_ng.requires_grad and out_ng.dtype == dtype
         np.testing.assert_array_equal(out_ng.data, out.data)
 
-    # -- the blocked no-graph core against the recording path -----------------
+    # -- the blocked no-graph width-1 op against the recording path ----------
 
     @staticmethod
     def _both_paths(x, n_head, params):
         """(recorded, blocked) outputs: the composite graph of public ops,
-        then the no-graph core."""
+        then the layer without a graph (blocked at width 1)."""
         leaves = [Tensor(p, requires_grad=True) for p in params]
         recorded = oracles.attention_composite(Tensor(x, requires_grad=True), n_head, *leaves)
         assert recorded.requires_grad
@@ -592,7 +593,7 @@ class TestAttention:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("per_block", [1, 5, 12, 100])
-    @pytest.mark.parametrize("d, n_head", [(8, 2), (4, 4)], ids=["dh4", "dh1"])
+    @pytest.mark.parametrize("d, n_head", [(4, 4)], ids=["dh1"])
     def test_blocked_core_is_bit_identical(self, np_rng, monkeypatch, dtype, per_block,
                                            d, n_head):
         # B*H = 3*n_head slices, grouped per_block at a time (5 divides neither 6 nor 12)
@@ -621,7 +622,7 @@ class TestAttention:
     def test_blocked_core_unbatched_input(self, np_rng):
         x = np_rng.normal(size=(7, 8))
         params = [p.data for p in self._params(np_rng, 8)]
-        recorded, blocked = self._both_paths(x, 2, params)
+        recorded, blocked = self._both_paths(x, 8, params)
         assert blocked.shape == (7, 8)
         np.testing.assert_array_equal(blocked, recorded)
 
@@ -649,6 +650,44 @@ class TestAttention:
                 tracemalloc.stop()
             assert out.shape == (4, 264, 32)
             assert peak < 4 * 32 * 264 * 264 * 4 // 8, size
+
+    # -- one path per head width ----------------------------------------------
+
+    @pytest.mark.parametrize("run", ["train", "eval", "no_grad"])
+    @pytest.mark.parametrize("n_head", [8, 2], ids=["dh1", "dh4"])
+    def test_path_depends_on_the_head_width_alone(self, np_rng, monkeypatch, run, n_head):
+        # the other path raises: width 1 never puts S x S weights through
+        # softmax or dropout, and wider heads never call the fused op
+        b, s, d = 2, 7, 8
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        def refuse(name):
+            def wrapped(*args, **kwargs):
+                raise AssertionError(f"heads of width {d // n_head} called {name}")
+            return wrapped
+
+        fused, composite = ["_attention_dh1", "_dh1_forward"], ["softmax", "dropout"]
+        used, other = (fused, composite) if n_head == d else (composite, fused)
+        for name in used:
+            monkeypatch.setattr(tensor, name, spy(name, getattr(tensor, name)))
+        for name in other:
+            monkeypatch.setattr(tensor, name, refuse(name))
+        x = Tensor(np_rng.normal(size=(b, s, d)), requires_grad=True)
+        params = [Tensor(p.data, requires_grad=True) for p in self._params(np_rng, d)]
+        mode = "train" if run == "train" else "eval"
+        with tensor.no_grad() if run == "no_grad" else contextlib.nullcontext():
+            out = multi_head_attention(x, n_head, *params, dropout_p=0.5, rng=Rng(1), mode=mode)
+        assert out.requires_grad == (run != "no_grad")
+        assert sorted(calls) == sorted(used)
+        if out.requires_grad:
+            out.sum().backward()
+            assert x.grad is not None
 
     def test_head_divisibility(self, np_rng):
         with pytest.raises(ConfigurationError):
