@@ -193,8 +193,9 @@ class TestStageShapes:
         np.testing.assert_array_equal(a, b)
 
     def test_reference_eval_forward_without_graph_is_bit_identical(self, np_rng):
-        # the no-graph forward runs the blocked attention core, the recording
-        # forward the composite softmax graph; eval logits must agree bit for bit
+        # the no-graph forward runs the pooled front-end blocks and records no
+        # attention op, the recording forward the composite front-end ops and
+        # the width-1 attention op's tape; eval logits must agree bit for bit
         model = build(reference_config(), Rng(4))
         x = Tensor(np_rng.normal(size=(2, 1, 28, 1000)).astype(np.float32))
         recorded = model.forward(x, mode="eval")
