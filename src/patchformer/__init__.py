@@ -8,6 +8,7 @@ from .errors import (
     ConfigurationError,
     DataFormatError,
     FoldError,
+    GraphFreedError,
     MetricUndefinedError,
     PatchFormerError,
     ShapeError,
@@ -27,6 +28,7 @@ __all__ = [
     "DataFormatError",
     "ExperimentReport",
     "FoldError",
+    "GraphFreedError",
     "LosoFold",
     "MetricUndefinedError",
     "ModelConfig",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, asdict
 
 from .errors import ConfigurationError
@@ -168,13 +169,17 @@ class ModelConfig:
                 bad(f"local graph {gi} is empty")
             own = set()
             for ch in group:
-                if not 0 <= int(ch) < self.c:
+                # int() would truncate 0.7 to channel 0 and read True as 1
+                if isinstance(ch, bool) or not isinstance(ch, numbers.Integral):
+                    bad(f"local graph {gi} entry {ch!r} is not an integer channel index")
+                ch = int(ch)
+                if not 0 <= ch < self.c:
                     bad(f"local graph {gi} references channel {ch}, valid range is [0, {self.c})")
-                if int(ch) in own:
+                if ch in own:
                     bad(f"local graph {gi} lists channel {ch} more than once")
-                if int(ch) in seen:
+                if ch in seen:
                     bad(f"channel {ch} appears in more than one local graph")
-                own.add(int(ch))
+                own.add(ch)
             seen |= own
 
         if self.l_step < 1:

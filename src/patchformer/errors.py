@@ -25,6 +25,10 @@ class TrainingDivergedError(PatchFormerError, RuntimeError):
     """Training produced non-finite values; the message names the culprit."""
 
 
+class GraphFreedError(PatchFormerError, RuntimeError):
+    """backward() reached a node whose graph an earlier backward() freed."""
+
+
 class FoldError(PatchFormerError, RuntimeError):
     """A LOSO fold failed with an error from outside the package; the original
     error is chained as the cause and named in the message."""

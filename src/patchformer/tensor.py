@@ -2,9 +2,10 @@
 
 A :class:`Tensor` wraps a numpy array and records the operation that produced
 it; ``backward()`` on a scalar walks the recorded graph in reverse topological
-order and accumulates gradients into the leaves that require them. float32 is
-the working precision for training and inference; gradient checking builds the
-same graphs in float64. Inside ``with no_grad():`` no graph is recorded.
+order, freeing it as it goes, and accumulates gradients into the leaves that
+require them. float32 is the working precision for training and inference;
+gradient checking builds the same graphs in float64. Inside
+``with no_grad():`` no graph is recorded.
 
 All differentiable kernels the network composes live here as free functions
 (convolutions, pooling, normalization, attention, dropout, ...). Each keeps
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, GraphFreedError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 
@@ -427,12 +428,15 @@ class Tensor:
     # -- reverse pass -----------------------------------------------------------
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into .grad for every reachable leaf.
+        """Accumulate d(self)/d(leaf) into .grad for every reachable leaf,
+        freeing the graph as it is walked.
 
         Leaves are tensors no op produced (inputs and parameters); interior
-        nodes keep no .grad. Repeated calls without zeroing keep accumulating
-        (gradients add up), which the optimizer relies on being able to reset
-        explicitly.
+        nodes keep no .grad. A leaf's .grad adds up over calls until it is
+        reset (the optimizer's zero_grad). Each interior node drops its
+        parents and its backward closure as soon as its gradient has flowed
+        on, so a graph is used once: a second backward() through any of its
+        nodes, or through a new graph built on one, raises GraphFreedError.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() expects a scalar, got shape {self.shape}")
@@ -459,22 +463,37 @@ class Tensor:
         # when it is popped, and only leaf totals are added into .grad. No
         # backward writes into its incoming gradient, so flowing arrays may be
         # read-only views (a reduction's broadcast); a leaf's .grad never is.
+        # Every key left in `flowing` is the id of a parent not yet popped, so
+        # `topo` still holds it: a node freed mid-walk cannot hand its id to a
+        # new object while that id is a live key.
         flowing = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = flowing.pop(id(node), None)
-            if g is None:
-                continue
-            if node._backward is None:
+            if node._backward is None:  # a leaf
+                if g is None:
+                    continue
                 if node.grad is not None:
                     node.grad = node.grad + g
                 else:
                     node.grad = g if g.flags.writeable else g.copy()
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                cur = flowing.get(id(parent))
-                flowing[id(parent)] = pg if cur is None else cur + pg
+            if g is not None:
+                for parent, pg in zip(node._parents, node._backward(g)):
+                    if pg is None or not parent.requires_grad:
+                        continue
+                    cur = flowing.get(id(parent))
+                    flowing[id(parent)] = pg if cur is None else cur + pg
+            node._parents = ()
+            node._backward = _freed_backward
+            # left bound, these would pin this node's arrays through the next
+            # node's backward
+            node = g = parent = pg = cur = None
+
+
+def _freed_backward(g):
+    """Stands in for the backward closure of a node whose graph is freed."""
+    raise GraphFreedError("backward through a graph already freed by an earlier backward()")
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,9 @@ def train(model: PatchFormerModel, fold: LosoFold, tc: TrainConfig, rng: Rng,
                 weight_decay=tc.weight_decay, decoupled_decay=tc.decoupled_decay,
             )
             losses.append(loss_val)
-            # the step's graph, held through these two names, would otherwise
-            # live on while the next batch's forward records its own
+            # backward has freed the step's graph; this drops its two end
+            # nodes, whose arrays would otherwise live on while the next
+            # batch's forward records its own
             del logits, loss
 
         val_probs = predict_proba(model, fold.val.X, tc.batch_size)

@@ -3,13 +3,14 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import patchformer
-from patchformer.errors import ConfigurationError
+from patchformer.errors import ConfigurationError, GraphFreedError, PatchFormerError
 from patchformer.gradcheck import grad_check
 from patchformer.losses import cross_entropy
 from patchformer.model import build
@@ -32,12 +33,49 @@ class TestBackwardBasics:
         # d(sum(xW))/dW = x^T @ ones
         np.testing.assert_allclose(w.grad, x.T @ np.ones((4, 2)), rtol=1e-12)
 
-    def test_accumulation_doubles(self):
+    def test_two_graphs_accumulate(self):
         x = Tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
-        loss = x * x
-        loss.backward()
-        loss.backward()
+        (x * x).backward()
+        (x * x).backward()
         assert x.grad == pytest.approx(12.0)
+
+    def test_a_freed_graph_raises(self):
+        x = Tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
+        y = x * x
+        loss = y * 2.0
+        loss.backward()
+        with pytest.raises(GraphFreedError, match="already freed by an earlier backward"):
+            loss.backward()
+        with pytest.raises(GraphFreedError):
+            (y + 1.0).backward()  # a new loss on a freed interior node
+        assert x.grad == pytest.approx(12.0)  # d(2x^2)/dx, left as the first call set it
+        assert issubclass(GraphFreedError, PatchFormerError)
+        assert issubclass(GraphFreedError, RuntimeError)
+
+    def test_interior_arrays_die_during_backward(self):
+        def scaled(t, factor):
+            # t * factor as an op whose backward closure alone holds `factor`
+            return Tensor._from_op(t.data * factor, (t,), lambda g: (g * factor,))
+
+        alive = []
+
+        def probe_backward(g):
+            alive.append(held() is not None)
+            return (g,)
+
+        x = Tensor(np.arange(1.0, 4.0), requires_grad=True, dtype=np.float64)
+        probe = Tensor._from_op(x.data.copy(), (x,), probe_backward)
+        factor = np.full(3, 2.0)
+        held = weakref.ref(factor)
+        mid = scaled(probe, factor)
+        del factor
+        assert held() is not None
+        mid.sum().backward()
+        # mid's backward ran before probe's, and the walk had dropped its
+        # closure by then, though the test still holds mid itself
+        assert alive == [False]
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+        assert mid._parents == () and probe._parents == ()
 
     def test_zeroing_resets(self):
         x = Tensor(np.array(2.0), requires_grad=True, dtype=np.float64)
@@ -80,18 +118,19 @@ class TestBackwardBasics:
         model = build(tiny_config, Rng(0), dtype=np.float64)
         x = Tensor(np_rng.normal(size=(2, 1, tiny_config.c, tiny_config.l)))
         loss = cross_entropy(model.forward(x, mode="train", rng=Rng(1)), [0, 1])
+        interior, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) in interior or node._backward is None:
+                continue
+            interior[id(node)] = node
+            stack.extend(node._parents)
         loss.backward()
         assert all(p.grad is not None for p in model.parameters.values())
         assert x.grad is None
-        stack, seen = [loss], set()
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if node._backward is not None:
-                assert node.grad is None
-                stack.extend(node._parents)
+        assert len(interior) > 50
+        for node in interior.values():
+            assert node.grad is None and node._parents == ()
 
 
 class TestNoGrad:

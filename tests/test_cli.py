@@ -284,8 +284,9 @@ class TestRuns:
         ("sweep", ["--lengths", "0,4"], "0"),
         ("sweep", ["--lengths", "4,a"], "--lengths entry 2 ('a')"),
         ("loso", ["--graphs", "0,a;1"], "--graphs entry 2 of group 1 ('a') of '0,a;1'"),
+        ("loso", ["--graphs", "0;0.7;2,3"], "--graphs entry 1 of group 2 ('0.7')"),
     ], ids=["train-unknown-subject", "sweep-length-too-long", "sweep-length-zero",
-            "sweep-length-not-integer", "graphs-not-integer"])
+            "sweep-length-not-integer", "graphs-not-integer", "graphs-float"])
     def test_unrunnable_input_rejected_before_manifest(self, toy_seg, tmp_path, capsys,
                                                         command, extra, named):
         out = tmp_path / command

@@ -1,6 +1,7 @@
 """Architecture: configuration, shapes, patching semantics, checkpoints."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +71,20 @@ class TestConfigValidation:
                           l_t=4, l_step=2, l_token=8, n_head=2)
         with pytest.raises(ConfigurationError, match=message):
             cfg.validate()
+
+    @pytest.mark.parametrize("entry", [0.7, True, np.float64(1.0), np.bool_(True), "1"],
+                             ids=["float", "bool", "numpy-float", "numpy-bool", "str"])
+    def test_non_integer_channel_named(self, entry):
+        cfg = ModelConfig(c=4, l=64, f_s=16.0, k=4, local_graphs=[[0], [entry, 2], [3]],
+                          l_t=4, l_step=2, l_token=8, n_head=2)
+        with pytest.raises(ConfigurationError,
+                           match=rf"local graph 1 entry {re.escape(repr(entry))} is not an integer"):
+            cfg.validate()
+
+    def test_numpy_integer_channel_accepted(self):
+        cfg = ModelConfig(c=4, l=64, f_s=16.0, k=4, local_graphs=[[0], [np.int64(1), 2], [3]],
+                          l_t=4, l_step=2, l_token=8, n_head=2)
+        assert cfg.validate().graphs[1] == [1, 2]
 
     def test_head_divisibility(self):
         cfg = ModelConfig(c=4, l=64, f_s=16.0, l_token=30, n_head=4,
