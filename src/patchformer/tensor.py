@@ -34,13 +34,13 @@ DEFAULT_DTYPE = np.float32
 # free, so every attention-sized array of a reference train step
 # ((4, 32, 264, 264) float32 is 34 MiB) was faulted in page by page. Only the
 # composite attention of heads wider than 1 builds these S x S arrays now;
-# width-1 heads score in _SCORE_BYTES blocks. Raising the mmap and trim
-# thresholds to 1 GiB, above the 571 MiB largest array of the paper's B=64
-# recipe, keeps freed step arrays on malloc's free lists for the next step to
-# reuse. malloc also keeps one arena: each kernel pool thread would otherwise
-# get its own, whose freed blocks the other threads never reuse (6-13 MiB more
-# peak in a reference train step). Set once per process; forked fold workers
-# inherit it.
+# width-1 heads reuse one buffer of at most _SCORE_BYTES per pool part.
+# Raising the mmap and trim thresholds to 1 GiB, above the 571 MiB largest
+# array of the paper's B=64 recipe, keeps freed step arrays on malloc's free
+# lists for the next step to reuse. malloc also keeps one arena: each kernel
+# pool thread would otherwise get its own, whose freed blocks the other
+# threads never reuse (6-13 MiB more peak in a reference train step). Set
+# once per process; forked fold workers inherit it.
 _HEAP_THRESHOLD = 1 << 30
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
@@ -216,16 +216,18 @@ _SHORT_AXIS = 8
 _COLUMN_BYTES = 32 << 20
 _PART_BYTES = 4 << 20
 
-# Cap on the score block of the width-1 attention op: (batch, head) slices are
-# scored, normalized and applied to v in groups whose S x S scores fit this
-# many bytes, so each group's passes stay in a per-core L2 cache. The
-# no-graph conv block finishes its rows in blocks of the same size.
+# Cap on a group of the width-1 attention op: (sample, head) slices are
+# grouped so that the group's one S x S array, exp(q k^T - m), fits this many
+# bytes (3 heads at S = 264 in float32), so the exp and the matrix products
+# that read it stay in a per-core L2 cache. The no-graph conv block finishes
+# its rows in blocks of the same size.
 _SCORE_BYTES = 1 << 20
 
-# Cap on the score blocks one pass of the width-1 attention op, forward or
-# backward, holds at once: it fans out over as many parts (one block each) as
-# fit, so its scratch does not grow with the kernel pool's size. Wider heads
-# run the composite graph, whose S x S arrays are whole (B, H, S, S) arrays.
+# Cap on the group buffers one pass of the width-1 attention op, forward or
+# backward, holds at once: it fans out over as many parts (one buffer each)
+# as fit, so its scratch does not grow with the kernel pool's size. Wider
+# heads run the composite graph, whose S x S arrays are whole (B, H, S, S)
+# arrays.
 _SCORE_SCRATCH_BYTES = 3 << 20
 
 
@@ -436,7 +438,8 @@ class Tensor:
         reset (the optimizer's zero_grad). Each interior node drops its
         parents and its backward closure as soon as its gradient has flowed
         on, so a graph is used once: a second backward() through any of its
-        nodes, or through a new graph built on one, raises GraphFreedError.
+        nodes, or through a new graph built on one, raises GraphFreedError
+        before any gradient flows, leaving every .grad as it was.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() expects a scalar, got shape {self.shape}")
@@ -453,6 +456,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _freed_backward:
+                _freed_backward(None)  # before any gradient flows, so no leaf changes
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -1048,27 +1053,18 @@ def _conv_block(x: Tensor, kernels: Tensor, bias: Tensor, bn: BatchNormState,
 # ---------------------------------------------------------------------------
 
 
-def _outer(col: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """col * row of (n, S, 1) and contiguous (n, 1, S) into `out`: the
-    column copied into every column of `out`, then multiplied by the row.
-    The same values as np.multiply(col, row), which runs one inner loop per
-    row with a stride-0 operand: at S = 264 that takes ~1.4x as long."""
-    np.copyto(out, col)
-    return np.multiply(out, row, out=out)
-
-
-def _head_groups(shape: tuple, dtype, arrays: int) -> tuple:
+def _head_groups(shape: tuple, dtype) -> tuple:
     """(groups, parts, bufs) of a pass over the (sample, head) slices of
-    (B, H, S, dh) attention operands that holds `arrays` S x S arrays per
-    slice. A group (samples, heads) is as many slices as fit in _SCORE_BYTES
-    with those arrays: whole samples where one fits, else a range of one
-    sample's heads. So a group is a 4-D view of a strided head view, whose
-    slices share one set of strides, and one run of the flattened
-    (B, H, S, S) weights. The groups are cut into parts of the kernel pool,
-    as many as fit in _SCORE_SCRATCH_BYTES; `bufs` is the parts' scratch,
-    (parts, arrays, slices per group * S * S + _BIT_SLACK)."""
+    (B, H, S, 1) attention operands that holds one S x S array per slice. A
+    group (samples, heads) is as many slices as fit in _SCORE_BYTES: whole
+    samples where one fits, else a range of one sample's heads. So a group
+    is a 4-D view of a strided head view and one run of the flattened
+    (B, H, S, S) weights. The groups depend on the shape and dtype alone;
+    they are cut into parts of the kernel pool, as many as fit in
+    _SCORE_SCRATCH_BYTES, and `bufs` is the parts' scratch, one group's
+    scores each: (parts, slices per group * S * S)."""
     b, h, s, _ = shape
-    slice_bytes = arrays * s * s * dtype.itemsize
+    slice_bytes = s * s * dtype.itemsize
     step = max(1, _SCORE_BYTES // slice_bytes)
     if step >= h:
         groups = [(rows, slice(0, h)) for rows in _blocks(0, b, step // h)]
@@ -1077,7 +1073,7 @@ def _head_groups(shape: tuple, dtype, arrays: int) -> tuple:
         groups = [(slice(i, i + 1), heads) for i in range(b) for heads in _blocks(0, h, step)]
         size = step
     parts = _parts(len(groups), 1, _SCORE_SCRATCH_BYTES // (size * slice_bytes))
-    return groups, parts, np.empty((len(parts), arrays, size * s * s + _BIT_SLACK), dtype=dtype)
+    return groups, parts, np.empty((len(parts), size * s * s), dtype=dtype)
 
 
 def _group_run(shape: tuple, group: tuple) -> tuple:
@@ -1090,87 +1086,86 @@ def _group_run(shape: tuple, group: tuple) -> tuple:
     return dims, (samples.start * h + heads.start) * s * s
 
 
-def _group_buffers(bufs: np.ndarray, dims: tuple) -> list:
-    """A part's buffers `bufs` (arrays, elements) as arrays of a group's `dims`."""
-    return [buf[:math.prod(dims)].reshape(dims) for buf in bufs]
-
-
-# Bit j of byte v at [v, j]: row v is the byte's 8 little-endian packed keep
-# bits, unpacked.
-_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
-                           bitorder="little").view(bool)
-
-# Elements of slack after each _head_groups scratch array: a group's dropout
-# factors are decoded from whole bytes of the packed keep-mask, up to 7 bits
-# before its first weight and 7 after its last (16 keeps the arrays' offsets
-# multiples of 64 bytes wherever S * S * itemsize is).
-_BIT_SLACK = 16
-
-
-def _keep_factor(keep: np.ndarray, table: np.ndarray, dims: tuple, start: int,
-                 out: np.ndarray) -> np.ndarray:
-    """Dropout's factor keep * scale of one group of weights (`_group_run`'s
-    dims and start), decoded into `out`, a flat scratch of the group's size
-    plus _BIT_SLACK. `keep` is the whole mask as little-endian packed bits
-    (`Rng.keep_bits`) and `table` (256, 8) each byte's 8 factors. The run of
-    the group's bits starts mid-byte when S * S is not a multiple of 8, so
-    its whole bytes are decoded and the factor is a view at the bit offset."""
+def _group_keep(keep: np.ndarray, dims: tuple, start: int) -> np.ndarray:
+    """The 0/1 keep-mask (uint8) of one group of weights (`_group_run`'s dims
+    and start), unpacked from the little-endian packed bits `keep`
+    (`Rng.keep_bits`); the group's run starts mid-byte when S * S is not a
+    multiple of 8."""
     n = math.prod(dims)
     lo, skip = divmod(start, 8)
-    octets = keep[lo:-(-(start + n) // 8)]
-    np.take(table, octets, axis=0, out=out[:8 * octets.size].reshape(-1, 8), mode="clip")
-    return out[skip:skip + n].reshape(dims)
+    bits = np.unpackbits(keep[lo:-(-(start + n) // 8)], count=skip + n, bitorder="little")
+    return bits[skip:].reshape(dims)
 
 
-def _exp_scores(q: np.ndarray, kt: np.ndarray, rowmax: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(q k^T - row max) of one group of width-1 heads into `out`,
-    `_softmax`'s operations before its division: the scores are the outer
-    product q_i * k_j (kt contiguous) and `rowmax` their row maxima."""
-    _outer(q, kt, out)
-    np.subtract(out, rowmax, out=out)
-    return np.exp(out, out=out)
+def _dh1_products(q: np.ndarray, k: np.ndarray, rowmax: np.ndarray, keep: np.ndarray | None,
+                  operands: list) -> list:
+    """[P a] or [P a, P^T b] of `operands` [a] or [a, b], (B, H, S, c) arrays,
+    for (B, H, S, 1) heads q, k with row maxima m: P is E = exp(q k^T - m)
+    in the last column of each product and W = E * M in the others, M being
+    the keep-mask of (B, H, S, S) weights given as packed bits `keep`
+    (`Rng.keep_bits`; None: W = E).
 
-
-def _dh1_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep: np.ndarray | None,
-                 scale) -> tuple:
-    """(ctx, kt, rowmax, rowsum) of (B, H, S, 1) heads, no graph: ctx is
-    softmax(q k^T) v, or with a keep-mask of (B, H, S, S) weights, given as
-    packed bits (`Rng.keep_bits`), softmax(q k^T) * (keep * scale) v; the
-    rest is what backward needs, a contiguous k^T (B, H, 1, S) and each
-    row's max and softmax denominator (B, H, S, 1). The row maxima come
-    without the scores: rounding is monotone, so a row's max is
-    q_i * max(k) where q_i >= 0 and q_i * min(k) elsewhere.
-
-    The (sample, head) slices go in _head_groups through reused score
-    buffers, so no (B, H, S, S) float or bool array exists: each group
-    decodes only its own run of the keep-mask's bits into dropout's factor
-    (`_keep_factor`, whose table holds dropout's own products keep * scale).
-    Each group runs the composite ops' own per-slice operations on the
-    operands' own strides: the scores' outer product, `_softmax`'s
-    subtract, exp, sum and divide, dropout's product, and the matmul with
-    v. So ctx is bit-identical to `dropout(softmax(q @ k^T)) @ v`.
+    The (sample, head) slices go in _head_groups, fanned out over the kernel
+    pool. Each group builds E in its part's one buffer: the shifted scores
+    q_i k_j - m_i as one rank-2 product [q, -m] @ [k^T; 1], then exp in
+    place. It runs the E products first, then multiplies E in place by its
+    unpacked keep bits, then runs the W products; without dropout that is
+    one product per operand. So no (B, H, S, S) array exists, and the
+    results do not depend on the pool's size.
     """
-    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
-    rowmax = q * np.where(q >= 0, kt.max(axis=-1, keepdims=True), kt.min(axis=-1, keepdims=True))
-    dtype = np.result_type(q, k)
-    rowsum = np.empty(q.shape, dtype=dtype)
-    ctx = np.empty(q.shape, dtype=np.result_type(dtype, v))
-    groups, parts, bufs = _head_groups(q.shape, dtype, 1 if keep is None else 2)
-    table = None if keep is None else np.multiply(_BYTE_BITS, scale, dtype=dtype)
+    dtype = operands[0].dtype
+    qm = np.concatenate((q, -rowmax), axis=-1, dtype=dtype)
+    kt1 = np.ones(k.shape[:2] + (2, k.shape[2]), dtype=dtype)
+    kt1[..., 0, :] = k[..., 0]
+    groups, parts, bufs = _head_groups(q.shape, dtype)
+    outs = [np.empty_like(a) for a in operands]
 
     def task(p, lo, hi):
         for group in groups[lo:hi]:
             dims, start = _group_run(q.shape, group)
-            attn = _group_buffers(bufs[p], dims)[0]
-            _exp_scores(q[group], kt[group], rowmax[group], attn)
-            attn /= attn.sum(axis=-1, keepdims=True, out=rowsum[group])
-            if keep is not None:
-                factor = _keep_factor(keep, table, dims, start, bufs[p][1])
-                attn = np.multiply(attn, factor, out=factor)
-            np.matmul(attn, v[group], out=ctx[group])
+            e = bufs[p][:math.prod(dims)].reshape(dims)
+            np.matmul(qm[group], kt1[group], out=e)
+            np.exp(e, out=e)
+
+            def products(cols):
+                for mat, a, out in zip((e, e.swapaxes(-1, -2)), operands, outs):
+                    np.matmul(mat, a[group][..., cols], out=out[group][..., cols])
+
+            if keep is None:
+                products(slice(None))
+            else:
+                products(slice(-1, None))
+                e *= _group_keep(keep, dims, start)
+                products(slice(None, -1))
 
     _fan_out(task, parts)
-    return ctx, kt, rowmax, rowsum
+    return outs
+
+
+def _dh1_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep: np.ndarray | None,
+                 scale) -> tuple:
+    """(ctx, rowmax, rowsum) of (B, H, S, 1) heads, no graph: ctx is
+    softmax(q k^T) v, or with a keep-mask M of (B, H, S, S) weights, given as
+    packed bits (`Rng.keep_bits`), softmax(q k^T) * (M * scale) v; the rest
+    is what backward needs, each row's max m and softmax denominator l
+    (B, H, S, 1). The row maxima come without the scores: rounding is
+    monotone, so a row's max is q_i * max(k) where q_i >= 0 and q_i * min(k)
+    elsewhere.
+
+    In closed form, with E = exp(q k^T - m), l = E 1 and W = E * M:
+    ctx = scale * (W v) / l, with the division and the scale applied to S
+    values. `_dh1_products` gives W v and l as [W v, E 1] = P [v, 1]. The
+    values agree with `dropout(softmax(q @ k^T)) @ v` to rounding.
+    """
+    dtype = np.result_type(q, k, v)
+    rowmax = q * np.where(q >= 0, k.max(axis=-2, keepdims=True), k.min(axis=-2, keepdims=True))
+    (prods,) = _dh1_products(q, k, rowmax, keep,
+                             [np.concatenate((v, np.ones_like(v)), axis=-1, dtype=dtype)])
+    rowsum = prods[..., 1:].copy()
+    ctx = np.divide(prods[..., :1], rowsum)
+    if scale is not None:
+        ctx *= scale
+    return ctx, rowmax, rowsum
 
 
 def _attention_dh1(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray | None, scale) -> Tensor:
@@ -1178,49 +1173,40 @@ def _attention_dh1(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray | None, sca
     dropout given as its keep-mask in packed bits (`Rng.keep_bits`; None:
     no dropout) and scale.
 
-    Forward is `_dh1_forward`. The graph holds q, k, v, each row's max
-    and softmax denominator, the output and the packed keep-mask, one bit
-    per weight: no (B, H, S, S) float or bool array. Backward recomputes
-    each group's softmax in a reused buffer, decodes the group's dropout
-    factor again, and runs the composite graph's per-slice backward
-    operations on the operands' own strides: g v^T, times the dropout
-    factor; `softmax`'s backward formula for dS; then dS k, q^T dS and
-    attn^T g. So the gradients are bit-identical to the composite's. Groups
-    are _head_groups of three S x S buffers, fanned out over the kernel pool.
+    Forward is `_dh1_forward`. The graph holds q, k, v, each row's max m
+    and softmax denominator l, the output o and the packed keep-mask, one
+    bit per weight: no (B, H, S, S) float or bool array. At width 1 the
+    softmax backward has a closed form (FlashAttention's D = rowsum(dO * O),
+    here D = g * o). With E, W and the scale as in `_dh1_forward`:
+      dv = scale * W^T (g / l)
+      dq = (g / l) * (scale * W (v * k)) - (D / l) * (E k)
+      dk = v * (scale * W^T (g * q / l)) - E^T (D * q / l)
+    Backward rebuilds E group by group (`_dh1_products`) for the products
+    P [v * k, k] and P^T [g / l, g * q / l, D * q / l], whose last columns
+    take E and the others W; the scale is applied to their S values. The
+    gradients agree with the composite graph's to rounding.
     """
     qd, kd, vd = q.data, k.data, v.data
-    ctx, kt, rowmax, rowsum = _dh1_forward(qd, kd, vd, keep, scale)
+    ctx, rowmax, rowsum = _dh1_forward(qd, kd, vd, keep, scale)
 
     def bw(g):
         dtype = np.result_type(g, qd, kd, vd)
-        groups, parts, bufs = _head_groups(qd.shape, dtype, 3)
-        table = None if keep is None else np.multiply(_BYTE_BITS, scale, dtype=dtype)
-        qt, vt = qd.swapaxes(-1, -2), np.ascontiguousarray(vd.swapaxes(-1, -2))
-        dq, dv = np.empty(qd.shape, dtype=dtype), np.empty(vd.shape, dtype=dtype)
-        dkt = np.empty(kt.shape, dtype=dtype)
-
-        def task(p, lo, hi):
-            for group in groups[lo:hi]:
-                dims, start = _group_run(qd.shape, group)
-                probs, attn, grad = _group_buffers(bufs[p], dims)
-                _exp_scores(qd[group], kt[group], rowmax[group], probs)
-                probs /= rowsum[group]
-                _outer(g[group], vt[group], grad)  # the gradient of attn
-                dropped = probs
-                if keep is not None:  # dropout: the factor in attn's buffer, then attn itself
-                    factor = _keep_factor(keep, table, dims, start, bufs[p][1])
-                    grad *= factor
-                    dropped = np.multiply(probs, factor, out=factor)
-                np.matmul(dropped.swapaxes(-1, -2), g[group], out=dv[group])
-                # softmax backward, dS into grad (attn is free again)
-                dot = np.multiply(grad, probs, out=attn).sum(axis=-1, keepdims=True)
-                np.subtract(grad, dot, out=grad)
-                grad *= probs
-                np.matmul(grad, kd[group], out=dq[group])
-                np.matmul(qt[group], grad, out=dkt[group])
-
-        _fan_out(task, parts)
-        return dq, dkt.swapaxes(-1, -2), dv
+        left = np.empty(qd.shape[:3] + (3,), dtype=dtype)  # [g / l, g q / l, D q / l]
+        gl = np.divide(g, rowsum, out=left[..., :1])
+        np.multiply(gl, qd, out=left[..., 1:2])
+        np.multiply(left[..., 1:2], ctx, out=left[..., 2:])
+        # [W (v k), E k] and [W^T (g / l), W^T (g q / l), E^T (D q / l)]
+        right_prods, left_prods = _dh1_products(
+            qd, kd, rowmax, keep, [np.concatenate((vd * kd, kd), axis=-1, dtype=dtype), left])
+        if scale is not None:
+            right_prods[..., :1] *= scale
+            left_prods[..., :2] *= scale
+        # dq = (g / l) (scale W (v k) - o E k), as D / l = (g / l) o
+        dq = right_prods[..., :1] - ctx * right_prods[..., 1:]
+        dq *= gl
+        dk = vd * left_prods[..., 1:2]
+        dk -= left_prods[..., 2:]
+        return dq, dk, left_prods[..., :1]
 
     return Tensor._from_op(ctx, (q, k, v), bw)
 
@@ -1248,7 +1234,8 @@ def multi_head_attention(
     - wider heads run q @ k^T -> softmax -> dropout -> @ v as plain numpy
       ops, which build whole (B, H, S, S) arrays, also in a forward that
       records no graph.
-    Both compute the composite's values and draw the same keep-mask.
+    Both agree with the composite's values to rounding and draw the same
+    keep-mask.
     """
     squeeze = x.ndim == 2
     if squeeze:

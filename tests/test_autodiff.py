@@ -52,6 +52,17 @@ class TestBackwardBasics:
         assert issubclass(GraphFreedError, PatchFormerError)
         assert issubclass(GraphFreedError, RuntimeError)
 
+    def test_a_freed_graph_raises_before_any_gradient_flows(self):
+        # w's branch would be walked first; the freed y is found before then
+        x = Tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
+        w = Tensor(np.array(1.0), requires_grad=True, dtype=np.float64)
+        y = x * x
+        y.backward()
+        with pytest.raises(GraphFreedError):
+            (w * 5.0 + y).backward()
+        assert w.grad is None
+        assert x.grad == pytest.approx(6.0)
+
     def test_interior_arrays_die_during_backward(self):
         def scaled(t, factor):
             # t * factor as an op whose backward closure alone holds `factor`

@@ -91,9 +91,10 @@ SAMPLE_COLS = 2 * 5 * 3 * 17 * 4  # column bytes of one sample of a conv case at
 CONV_CAPS = {k: {"_COLUMN_BYTES": 4 * SAMPLE_COLS * k // 5, "_PART_BYTES": SAMPLE_COLS * k // 5}
              for k in (1, 5)}  # chunks of 4 and 3 samples, one sample a part
 CASES = {
+    # one S x S array per (sample, head) slice: groups of 2 heads of 5, so
+    # 9 groups, and of 3 heads, so 6 groups, in both passes
     "attention_core_dh1": (_attention_core_dh1, {"_SCORE_BYTES": 2 * 20 * 20 * 4}),
-    # backward groups of 2 heads, forward groups of 3: 9 and 6 groups
-    "attention_train_dh1": (_attention_train_dh1, {"_SCORE_BYTES": 2 * 3 * 20 * 20 * 4}),
+    "attention_train_dh1": (_attention_train_dh1, {"_SCORE_BYTES": 3 * 20 * 20 * 4}),
     "softmax": (_softmax, {"_SCORE_BYTES": 4 * 3 * 13 * 4}),
     "dropout_dyadic": (lambda: _dropout(0.5), {"_SCORE_BYTES": 16 * 8}),
     "dropout_words": (lambda: _dropout(0.3), {"_SCORE_BYTES": 16 * 8}),

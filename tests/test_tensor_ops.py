@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from patchformer import tensor
 from patchformer.config import reference_config
 from patchformer.errors import ConfigurationError, ShapeError
+from patchformer.gradcheck import grad_check
 from patchformer.model import build
 from patchformer.rng import Rng
 from patchformer.tensor import (
@@ -30,6 +31,7 @@ from patchformer.tensor import (
     sliding_windows,
     softmax,
 )
+from patchformer.verify import THRESHOLD
 
 import oracles
 
@@ -40,6 +42,27 @@ def pool_sizes():
     hosts' CPU counts; the default size is restored afterwards."""
     yield (1, 2, 4, 8)
     tensor.set_pool_threads(tensor.cpu_count())
+
+
+# Agreement of a kernel with the float64 composite ops it replaced, as a
+# fraction of each result's largest magnitude: float64 rounding, and in
+# float32 a bound above the closed-form width-1 attention's largest reading
+# over these tests (~1.1e-6).
+AGREEMENT = {np.float64: 1e-12, np.float32: 4e-6}
+
+
+def _assert_agree(dtype, outputs, gradients=None, floor=0.0):
+    """Each (got, want) pair of `outputs` and `gradients` ({name: pair}, got
+    in `dtype`, want float64) agrees to AGREEMENT[dtype] of want's largest
+    magnitude. For a gradient that is at least `floor` and the largest
+    magnitude of all the gradients, since some are 0 in exact arithmetic
+    (bk's: softmax ignores a shift of a row's scores)."""
+    gradients = gradients or {}
+    floor = max([floor, *(np.abs(want).max() for _, want in gradients.values())])
+    for name, (got, want) in {**outputs, **gradients}.items():
+        assert got.dtype == dtype and got.shape == want.shape, name
+        scale = max(np.abs(want).max(), floor if name in gradients else 0.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=AGREEMENT[dtype] * scale, err_msg=name)
 
 
 def t4(values):
@@ -578,32 +601,33 @@ class TestAttention:
         assert not out_ng.requires_grad and out_ng.dtype == dtype
         np.testing.assert_array_equal(out_ng.data, out.data)
 
-    # -- the blocked no-graph width-1 op against the recording path ----------
+    # -- the blocked no-graph width-1 op against the composite graph ----------
 
     @staticmethod
     def _both_paths(x, n_head, params):
-        """(recorded, blocked) outputs: the composite graph of public ops,
-        then the layer without a graph (blocked at width 1)."""
-        leaves = [Tensor(p, requires_grad=True) for p in params]
-        recorded = oracles.attention_composite(Tensor(x, requires_grad=True), n_head, *leaves)
+        """(recorded, blocked) outputs: the float64 composite graph of public
+        ops, then the layer without a graph in x's dtype (blocked at width 1)."""
+        leaves = [Tensor(p.astype(np.float64), requires_grad=True) for p in params]
+        recorded = oracles.attention_composite(Tensor(x.astype(np.float64), requires_grad=True),
+                                               n_head, *leaves)
         assert recorded.requires_grad
         with tensor.no_grad():
-            blocked = multi_head_attention(Tensor(x), n_head, *leaves)
+            blocked = multi_head_attention(Tensor(x), n_head, *(Tensor(p) for p in params))
+        assert blocked.dtype == x.dtype
         return recorded.data, blocked.data
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("per_block", [1, 5, 12, 100])
     @pytest.mark.parametrize("d, n_head", [(4, 4)], ids=["dh1"])
-    def test_blocked_core_is_bit_identical(self, np_rng, monkeypatch, dtype, per_block,
-                                           d, n_head):
+    def test_blocked_core_agrees_with_the_composite_ops(self, np_rng, monkeypatch, dtype,
+                                                        per_block, d, n_head):
         # B*H = 3*n_head slices, grouped per_block at a time (5 divides neither 6 nor 12)
         b, s = 3, 10
         monkeypatch.setattr(tensor, "_SCORE_BYTES", per_block * s * s * np.dtype(dtype).itemsize)
         x = np_rng.normal(size=(b, s, d)).astype(dtype)
         params = [p.data.astype(dtype) for p in self._params(np_rng, d)]
         recorded, blocked = self._both_paths(x, n_head, params)
-        assert blocked.dtype == dtype
-        np.testing.assert_array_equal(blocked, recorded)
+        _assert_agree(dtype, {"output": (blocked, recorded)})
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_blocked_core_row_max_from_the_sign_of_q(self, np_rng, dtype):
@@ -617,14 +641,14 @@ class TestAttention:
         eye, zero = np.eye(d, dtype=dtype), np.zeros(d, dtype=dtype)
         params = [eye, zero, eye, np.full(d, -5.0, dtype), eye, zero, eye, zero]
         recorded, blocked = self._both_paths(x, d, params)
-        np.testing.assert_array_equal(blocked, recorded)
+        _assert_agree(dtype, {"output": (blocked, recorded)})
 
     def test_blocked_core_unbatched_input(self, np_rng):
         x = np_rng.normal(size=(7, 8))
         params = [p.data for p in self._params(np_rng, 8)]
         recorded, blocked = self._both_paths(x, 8, params)
         assert blocked.shape == (7, 8)
-        np.testing.assert_array_equal(blocked, recorded)
+        _assert_agree(np.float64, {"output": (blocked, recorded)})
 
     # a negative p and an unknown mode are rejected at p <= 0 too
     @pytest.mark.parametrize("p, mode", [(1.0, "eval"), (0.1, "test"), (-0.1, "train"),
@@ -696,7 +720,8 @@ class TestAttention:
 
 
 class TestFusedAttention:
-    """Heads of width 1 run softmax(q k^T) -> dropout -> @ v as one op."""
+    """Heads of width 1 run softmax(q k^T) -> dropout -> @ v as one op, in
+    closed form; it agrees with the float64 composite ops to rounding."""
 
     @staticmethod
     def _heads(dtype, b, s, h, seed):
@@ -705,61 +730,104 @@ class TestFusedAttention:
         return _signed_values(dtype, (b, s, h), seed).reshape(b, s, h, 1).transpose(0, 2, 1, 3)
 
     @classmethod
-    def _run(cls, fused, dtype, b, s, h, p, seed=0):
-        """(output, dq, dk, dv) of one recorded forward and backward, fused
-        or as the composite of public ops."""
-        q, k, v = (Tensor(cls._heads(dtype, b, s, h, seed + j), requires_grad=True)
-                   for j in range(3))
-        rng = Rng(seed + 3)
+    def _inputs(cls, dtype, b, s, h, seed=0):
+        """(q, k, v) heads and a (B, S, H) cotangent."""
+        return [cls._heads(dtype, b, s, h, seed + j) for j in range(3)], \
+            _signed_values(dtype, (b, s, h), seed + 4)
+
+    @staticmethod
+    def _run(fused, heads, g, p, seed=3):
+        """(output, dq, dk, dv) of one recorded forward and backward of
+        (q, k, v) heads and cotangent g, fused or as the composite of public
+        ops, in the heads' dtype; the keep-mask is Rng(seed)'s first draw."""
+        q, k, v = (Tensor(a, requires_grad=True) for a in heads)
+        b, h, s, _ = q.shape
+        rng = Rng(seed)
         if fused:
             keep = rng.keep_bits(p, (b, h, s, s)) if p > 0 else None
-            out = tensor._attention_dh1(q, k, v, keep, np.dtype(dtype).type(1.0 / (1.0 - p)))
+            out = tensor._attention_dh1(q, k, v, keep, q.dtype.type(1.0 / (1.0 - p)))
         else:
             weights = softmax(q @ k.transpose(0, 1, 3, 2))
             out = (dropout(weights, p, rng, "train") if p > 0 else weights) @ v
         # the cotangent reaches the op as a strided view, as it does in the model
-        g = Tensor(_signed_values(dtype, (b, s, h), seed + 4))
-        (out.transpose(0, 2, 1, 3).reshape(b, s, h) * g).sum().backward()
+        (out.transpose(0, 2, 1, 3).reshape(b, s, h) * Tensor(g)).sum().backward()
         return [out.data, q.grad, k.grad, v.grad]
 
     @classmethod
-    def _assert_bit_identical(cls, monkeypatch, dtype, b, s, h, p, heads_per_group):
-        monkeypatch.setattr(tensor, "_SCORE_BYTES",
-                            heads_per_group * 3 * s * s * np.dtype(dtype).itemsize)
-        got, want = cls._run(True, dtype, b, s, h, p), cls._run(False, dtype, b, s, h, p)
-        for name, a, e in zip(("output", "dq", "dk", "dv"), got, want):
-            assert a.dtype == e.dtype and a.shape == e.shape, name
-            assert a.tobytes() == e.tobytes(), name
+    def _assert_agrees(cls, dtype, heads, g, p, floor=0.0):
+        """The fused op in `dtype` agrees with the float64 composite ops."""
+        got = cls._run(True, heads, g, p)
+        want = cls._run(False, [a.astype(np.float64) for a in heads], g.astype(np.float64), p)
+        assert all(np.isfinite(a).all() for a in got)
+        _assert_agree(dtype, {"output": (got[0], want[0])},
+                      dict(zip(("dq", "dk", "dv"), zip(got[1:], want[1:]))), floor)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("p", [0.0, 0.5, 0.25, 0.3], ids=["p0", "1-bit", "2-bit", "non-dyadic"])
     @pytest.mark.parametrize("b", [1, 2, 3])
     @pytest.mark.parametrize("heads_per_group", [1, 2, 100])
     @pytest.mark.parametrize("s", [5, 7, 11, 13])
-    def test_bit_identical_to_the_composite_ops(self, monkeypatch, dtype, p, b, heads_per_group, s):
+    def test_agrees_with_the_composite_ops(self, monkeypatch, dtype, p, b, heads_per_group, s):
         # 3 heads per sample, so groups of 2 heads cut every sample unevenly
         # and a grouping of the flattened (sample, head) slices would
         # straddle samples; S * S is odd, so every group but the first
         # starts its run of keep bits mid-byte
-        self._assert_bit_identical(monkeypatch, dtype, b, s, 3, p, heads_per_group)
+        monkeypatch.setattr(tensor, "_SCORE_BYTES",
+                            heads_per_group * s * s * np.dtype(dtype).itemsize)
+        self._assert_agrees(dtype, *self._inputs(dtype, b, s, 3), p)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("p", [0.5, 0.25, 0.3], ids=["1-bit", "2-bit", "non-dyadic"])
     @pytest.mark.parametrize("heads_per_group", [1, 2, 100])
-    def test_reference_length_is_bit_identical_to_the_composite_ops(self, monkeypatch, dtype, p,
-                                                                    heads_per_group):
+    def test_reference_length_agrees_with_the_composite_ops(self, monkeypatch, dtype, p,
+                                                           heads_per_group):
         # 264 tokens: every group's keep bits start on a byte
-        self._assert_bit_identical(monkeypatch, dtype, 2, 264, 3, p, heads_per_group)
+        monkeypatch.setattr(tensor, "_SCORE_BYTES",
+                            heads_per_group * 264 * 264 * np.dtype(dtype).itemsize)
+        self._assert_agrees(dtype, *self._inputs(dtype, 2, 264, 3), p)
 
-    def test_reference_shape_is_bit_identical_to_the_composite_ops(self):
-        got, want = (self._run(fused, np.float32, 1, 264, 32, 0.5) for fused in (True, False))
-        for a, e in zip(got, want):
-            assert a.tobytes() == e.tobytes()
+    def test_reference_shape_agrees_with_the_composite_ops(self):
+        # 32 heads of 264 tokens: 3 heads a group at the default _SCORE_BYTES
+        self._assert_agrees(np.float32, *self._inputs(np.float32, 1, 264, 32), 0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.0, 0.5], ids=["p0", "1-bit"])
+    def test_large_logits_stay_finite_and_agree(self, dtype, p):
+        # integer q and k of up to 100: scores |q k| up to 1e4, whose exp
+        # overflows unshifted, yet exact in both dtypes, so only the op's
+        # own rounding separates it from the composite
+        (_, _, v), g = self._inputs(dtype, 2, 40, 3)
+        ints = np.random.default_rng(5).integers(-100, 101, size=(2, 2, 3, 40, 1))
+        q, k = (a.astype(dtype) for a in ints)
+        assert np.abs(q * k.swapaxes(-1, -2)).max() > 5e3
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            np.exp(q.astype(np.float64) * k.swapaxes(-1, -2))
+        # the closed form's dq and dk each subtract two terms of up to
+        # |g| |v| max(|q|, |k|), which cancel where the softmax saturates:
+        # in float32 the gradients agree to that size
+        terms = np.abs(g).max() * np.abs(v).max() * 100 if dtype == np.float32 else 0.0
+        self._assert_agrees(dtype, [q, k, v], g, p, terms)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.3], ids=["p0", "1-bit", "non-dyadic"])
+    def test_gradients_pass_the_finite_difference_check(self, p):
+        # 2 samples, 3 heads of 6 tokens; a fresh keep-mask from the same
+        # seed per call keeps f pure
+        b, h, s = 2, 3, 6
+        (q, k, v), g = self._inputs(np.float64, b, s, h)
+        scale = 1.0 / (1.0 - p)
+
+        def f(q, k, v):
+            keep = Rng(7).keep_bits(p, (b, h, s, s)) if p > 0 else None
+            out = tensor._attention_dh1(q, k, v, keep, scale)
+            return (out.transpose(0, 2, 1, 3).reshape(b, s, h) * Tensor(g)).sum()
+
+        assert grad_check(f, [q.copy(), k.copy(), v.copy()]) < THRESHOLD
 
     @pytest.mark.parametrize("s", [7, 16])
     def test_recorded_op_holds_the_keep_mask_as_bits(self, s):
         # the backward captures no bool or float array of B*H*S*S elements,
-        # and no more mask than one bit per weight
+        # no more mask than one bit per weight, and no more (B, H, S, .)
+        # float arrays than q, k, v, the row maxima and sums and the output
         b, h = 3, 5
         q, k, v = (Tensor(self._heads(np.float32, b, s, h, j), requires_grad=True)
                    for j in range(3))
@@ -769,41 +837,51 @@ class TestFusedAttention:
         captured = [c.cell_contents for c in out._backward.__closure__
                     if isinstance(c.cell_contents, np.ndarray)]
         assert any(a is keep for a in captured)
+        assert any(a is out.data for a in captured)
+        floats = 0
         for a in captured:
             owner = a if a.base is None else a.base
             if a.dtype.kind in "bf":
                 assert a.size < weights and owner.size < weights, (a.dtype, a.shape)
+                assert a.size == owner.size == b * h * s, (a.dtype, a.shape)
+                floats += 1
             else:
                 assert a.dtype == np.uint8 and a.nbytes <= -(-weights // 8)
                 assert owner.nbytes < -(-weights // 8) + 8  # whole 64-bit words
+        assert floats <= 6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("p", [0.0, 0.5, 0.25, 0.3], ids=["p0", "1-bit", "2-bit", "non-dyadic"])
     @pytest.mark.parametrize("b", [1, 2, 3])
     @pytest.mark.parametrize("heads_per_group", [1, 2, 100])
     @pytest.mark.parametrize("s", [5, 7, 9, 13])
-    def test_layer_gradients_are_bit_identical_to_the_composite_graph(self, monkeypatch, dtype, p,
-                                                                      b, heads_per_group, s):
+    def test_layer_gradients_agree_with_the_composite_graph(self, monkeypatch, dtype, p,
+                                                            b, heads_per_group, s):
         # through the projections: the gradients of x (which the q, k and v
-        # projections add up in the composite's order) and of every weight,
-        # and the dropout stream's next draw; S * S is odd, so the groups'
-        # runs of keep bits start mid-byte
+        # projections add up) and of every weight, against the float64
+        # composite; bk's gradient is 0 in exact arithmetic, so the gradients'
+        # floor is the largest of them. The dropout stream's next draw is the
+        # composite's. S * S is odd, so the groups' runs of keep bits start
+        # mid-byte
         d = 6
         monkeypatch.setattr(tensor, "_SCORE_BYTES",
-                            heads_per_group * 3 * s * s * np.dtype(dtype).itemsize)
+                            heads_per_group * s * s * np.dtype(dtype).itemsize)
         x = _signed_values(dtype, (b, s, d), 1)
         params = [_signed_values(dtype, shape, 2 + j) * dtype(0.5)
                   for j, shape in enumerate([(d, d), (d,)] * 4)]
         g = _signed_values(dtype, (b, s, d), 10)
         results = []
-        for layer in (multi_head_attention, oracles.attention_composite):
-            leaves = [Tensor(a, requires_grad=True) for a in [x, *params]]
+        for layer, kind in ((multi_head_attention, dtype), (oracles.attention_composite, np.float64)):
+            leaves = [Tensor(a.astype(kind), requires_grad=True) for a in [x, *params]]
             rng = Rng(11)
             out = layer(leaves[0], d, *leaves[1:], dropout_p=p, rng=rng, mode="train")
-            (out * Tensor(g)).sum().backward()
+            (out * Tensor(g.astype(kind))).sum().backward()
             results.append([out.data, *(t.grad for t in leaves), rng.uniform(0.0, 1.0, 3)])
-        for got, want in zip(*results):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        (out, *grads, draw), (want_out, *want_grads, want_draw) = results
+        np.testing.assert_array_equal(draw, want_draw)
+        names = ["x", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]
+        _assert_agree(dtype, {"output": (out, want_out)},
+                      dict(zip(names, zip(grads, want_grads))))
 
     def test_train_mode_dropout_needs_an_rng(self, np_rng):
         with pytest.raises(ValueError, match="Rng"):
