@@ -30,13 +30,12 @@ from .errors import ConfigurationError, GraphFreedError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 
-# glibc serves blocks of at least 32 MiB from fresh mmaps and unmaps them on
-# free, so every attention-sized array of a reference train step
-# ((4, 32, 264, 264) float32 is 34 MiB) was faulted in page by page. Only the
-# composite attention of heads wider than 1 builds these S x S arrays now;
-# width-1 heads reuse one buffer of at most _SCORE_BYTES per pool part.
-# Raising the mmap and trim thresholds to 1 GiB, above the 571 MiB largest
-# array of the paper's B=64 recipe, keeps freed step arrays on malloc's free
+# glibc serves blocks of 32 MiB and more from fresh mmaps and unmaps them on
+# free, so each such array is faulted in page by page every time. The paper's
+# B=64 recipe has (64, 32, 28, 1000) float32 feature maps of 219 MiB, and
+# heads wider than 1 build (B, H, S, S) arrays (571 MiB at B=64 with 32
+# heads and S = 264; width-1 heads build none). Raising the mmap and trim
+# thresholds to 1 GiB, above both, keeps freed step arrays on malloc's free
 # lists for the next step to reuse. malloc also keeps one arena: each kernel
 # pool thread would otherwise get its own, whose freed blocks the other
 # threads never reuse (6-13 MiB more peak in a reference train step). Set
@@ -207,13 +206,15 @@ def recording(*tensors) -> bool:
 # bit-identical; from 8 on it switches to pairwise summation.
 _SHORT_AXIS = 8
 
-# Cap on the im2col column block of a temporal convolution: samples are
-# lowered to columns in chunks whose block stays below this many bytes. One
-# block exists at a time, whatever the kernel pool's size: the samples of a
-# chunk are fanned out over the pool, in parts of at least _PART_BYTES of
-# columns, so a chunk smaller than that (every convolution of the small
-# acceptance config) runs inline.
-_COLUMN_BYTES = 32 << 20
+# Output steps L of one segment of a temporal convolution (`conv_temporal`,
+# `_conv_segment`): each padded input row is copied into overlapping
+# segments of L+K-1 samples, (L+K-1)/L times over (4.9 at the reference
+# K = 125), where im2col would copy it K times. Samples are lowered in blocks
+# whose segments and products fit _PART_BYTES (at least one sample), and the
+# blocks are fanned out over the kernel pool, so a convolution whose batch
+# fits one block (every convolution of the small acceptance config) runs
+# inline; each part holds one block's scratch.
+_SEGMENT = 32
 _PART_BYTES = 4 << 20
 
 # Cap on a group of the width-1 attention op: (sample, head) slices are
@@ -644,6 +645,14 @@ def sliding_windows(x: Tensor, size: int, step: int) -> Tensor:
     data = sliding_window_view(x.data, size, axis=-1)[..., ::step, :].copy()
 
     def bw(g):
+        if step == size:  # the windows tile the axis: each position is written once
+            gx = np.empty(x.shape, dtype=x.dtype)
+            tiles = gx[..., :n * size].reshape(g.shape)
+            for j in range(size):
+                # + 0 turns a -0.0 gradient into the +0.0 that zeros + g gives
+                np.add(g[..., j], 0, out=tiles[..., j])
+            gx[..., n * size:] = 0
+            return (gx,)
         gx = np.zeros_like(x.data)
         for j in range(size):
             # offset j of every window: distinct positions, one strided slice
@@ -672,79 +681,155 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
-def _batch_step(sample_bytes: int) -> int:
-    """Samples per chunk whose column block fits in _COLUMN_BYTES, at least one."""
-    return max(1, _COLUMN_BYTES // max(1, sample_bytes))
+def _conv_pad(x: np.ndarray, k: int) -> np.ndarray:
+    """x (B, F_in, C, T) padded in time with floor((K-1)/2) leading and
+    ceil((K-1)/2) trailing zeros; x itself at K = 1."""
+    if k == 1:
+        return x
+    xpad = np.zeros(x.shape[:3] + (x.shape[3] + k - 1,), dtype=x.dtype)
+    xpad[..., (k - 1) // 2:(k - 1) // 2 + x.shape[3]] = x
+    return xpad
 
 
-def _chunk_parts(win: np.ndarray):
-    """(step, chunks, col_shape) of a convolution over windows (B, F_in, C, T, K):
-    chunks of `step` samples whose column blocks fit in _COLUMN_BYTES, as
-    (rows, parts) with the chunk's samples cut into (lo, hi) ranges of at
-    least _PART_BYTES of columns, one per pool thread; `col_shape` is one
-    chunk's column block."""
-    b, f_in, c, t, k = win.shape
-    sample_bytes = f_in * k * c * t * win.itemsize
-    step = _batch_step(sample_bytes)
-    per_part = max(1, _PART_BYTES // max(1, sample_bytes))
-    chunks = [(rows, [(rows.start + lo, rows.start + hi)
-                      for lo, hi in _parts(rows.stop - rows.start, per_part)])
-              for rows in _blocks(0, b, step)]
-    return step, chunks, (min(step, b), f_in * k, c * t)
+def _conv_segment(k: int) -> int:
+    """Output steps L of one segment of a temporal convolution of length K:
+    _SEGMENT, or a quarter of it for kernels shorter than that, so that the
+    L - 1 zeros a row of the Toeplitz matrix holds stay below its K taps
+    (from K = 8 on); 1 at K = 1, whose segments are its input itself."""
+    if k == 1:
+        return 1
+    return _SEGMENT if k >= _SEGMENT else _SEGMENT // 4
 
 
-def _conv_windows(x: np.ndarray, k: int) -> np.ndarray:
-    """Windows (B, F_in, C, T, K) of x (B, F_in, C, T) padded in time with
-    floor((K-1)/2) leading and ceil((K-1)/2) trailing zeros; at K = 1 there
-    is no padding, and the windows are a view of x."""
+def _strided(a: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
+    """A view of the memory of C-contiguous `a` with the given shape and
+    byte strides: `as_strided` without its per-call cost, and bounds-checked
+    against `a`."""
+    return np.ndarray(shape, a.dtype, a, 0, strides)
+
+
+def _toeplitz(w: np.ndarray, seg: int) -> np.ndarray:
+    """Kernels w (F_out, F_in, K) as one banded (F_out*L, F_in*(L+K-1))
+    matrix, L = seg: row (o, l) holds w[o, i, j] in column (i, l + j) and
+    zeros elsewhere, so it maps a segment of L+K-1 input samples of each
+    input map to L output steps of each output map."""
+    f_out, f_in, k = w.shape
+    toe = np.zeros((f_out, seg, f_in, seg + k - 1), dtype=w.dtype)
+    s = toe.strides
+    _strided(toe, (f_out, seg, f_in, k), (s[0], s[1] + s[3], s[2], s[3]))[...] = w[:, None]
+    return toe.reshape(f_out * seg, f_in * (seg + k - 1))
+
+
+def _segments(a: np.ndarray, seg: int, t: int, out: np.ndarray | None) -> np.ndarray:
+    """Segments of rows a (n, F, C, T'), one row of (n, C*nb, F*S) per
+    (channel, segment): segment b of row (f, c) is a[f, c, b*L:b*L + S],
+    zero past the row's end, for L = seg, S = out.shape[-1] and nb =
+    ceil(t / L) segments. `out` (n, C, nb, F, S) receives them, copied in
+    runs of S contiguous samples; with S = L = 1 (out None) they are a
+    itself."""
+    n, f, c = a.shape[:3]
+    if out is None:
+        return a.reshape(n, f, c * t).transpose(0, 2, 1)
+    a = np.ascontiguousarray(a)
+    nb, span, full = out.shape[2], out.shape[-1], t // seg
+    s = a.strides
+    out[:, :, :full] = _strided(a, (n, c, full, f, span), (s[0], s[2], seg * s[3], s[1], s[3]))
+    if full < nb:
+        tail = a[..., full * seg:]
+        out[:, :, full, :, :tail.shape[-1]] = tail.transpose(0, 2, 1, 3)
+        out[:, :, full, :, tail.shape[-1]:] = 0
+    return out.reshape(n, c * nb, f * span)
+
+
+def _unsegment(prods: np.ndarray, seg: int, out: np.ndarray) -> None:
+    """Write products (n, F*L, C*nb) of segments of L = seg output steps back
+    in time order into out (n, F, C, T)."""
+    n, f, c, t = out.shape
+    p = prods.reshape(n, f, seg, c, -1)
+    full = t // seg
+    out[..., :full * seg].reshape(n, f, c, full, seg)[...] = p[..., :full].transpose(0, 1, 3, 4, 2)
+    if full < p.shape[-1]:
+        out[..., full * seg:] = p[:, :, :t - full * seg, :, full].transpose(0, 1, 3, 2)
+
+
+def _overlap_add(grads: np.ndarray, seg: int, k: int, acc: np.ndarray | None,
+                 out: np.ndarray) -> None:
+    """Add gradients (n, F*(L+K-1), C*nb) of the segments of padded rows
+    (`_segments` with L = seg, S = L+K-1) back at their offsets in acc (n,
+    F, C, nb + ceil(S / L) - 1, L), one strided pass per L samples of a
+    segment, and write the unpadded T steps into out (n, F, C, T); at K = 1
+    (acc None) the one pass writes out itself."""
+    n, f, c, t = out.shape
+    span = seg + k - 1
+    nb = grads.shape[-1] // c
+    g = grads.reshape(n, f, span, c, nb)
+    if acc is None:
+        acc = out.reshape(n, f, c, t, 1)
+    # + 0 turns a -0.0 gradient into +0.0, as zeros + g would
+    np.add(g[:, :, :seg].transpose(0, 1, 3, 4, 2), 0, out=acc[..., :nb, :])
+    acc[..., nb:, :] = 0
+    for j in range(1, acc.shape[3] - nb + 1):
+        width = min(seg, span - j * seg)
+        acc[..., j:j + nb, :width] += g[:, :, j * seg:j * seg + width].transpose(0, 1, 3, 4, 2)
     if k > 1:
         pad_l = (k - 1) // 2
-        xpad = np.zeros(x.shape[:3] + (x.shape[3] + k - 1,), dtype=x.dtype)
-        xpad[..., pad_l:pad_l + x.shape[3]] = x
-        x = xpad
-    return sliding_window_view(x, k, axis=3)
+        out[...] = acc.reshape(n, f, c, -1)[..., pad_l:pad_l + t]
 
 
-def _im2col(win: np.ndarray, lo: int, hi: int, buf: np.ndarray | None) -> np.ndarray:
-    """Column block (hi - lo, F_in*K, C*T) of samples lo:hi, windows (B, F_in, C, T, K).
-    At K = 1 it is a view of the input; else a copy into rows lo % len(buf)
-    onwards of `buf`, the chunk's column buffer."""
-    part = win[lo:hi]
-    n, f_in, c, t, k = part.shape
-    if k == 1:
-        return part.reshape(n, f_in, c * t)
-    cols = buf[lo % len(buf):][:n]
-    cols.reshape(n, f_in, k, c, t)[...] = part.transpose(0, 1, 4, 2, 3)
-    return cols
+def _sample_parts(b: int, sample_bytes: int) -> tuple:
+    """(step, parts) of a pass over b samples of `sample_bytes` segments and
+    products each: blocks of `step` samples that fit in _PART_BYTES (at
+    least one), cut into parts of the kernel pool on block boundaries."""
+    step = max(1, _PART_BYTES // max(1, sample_bytes))
+    return step, _parts(b, step)
 
 
-def _column_buffer(win: np.ndarray, col_shape: tuple) -> np.ndarray | None:
-    """The column buffer _im2col copies into; None at K = 1, which needs none."""
-    return np.empty(col_shape, dtype=win.dtype) if win.shape[-1] > 1 else None
+def _part_buffers(parts: list, step: int, b: int, dtype, *shapes) -> list:
+    """Scratch of a pass in blocks of `step` of b samples, allocated by the
+    calling thread: for each per-sample shape (None: no buffer), a buffer
+    (parts, block, *shape) whose [p] is part p's."""
+    n = min(step, b)
+    return [None if shape is None else np.empty((len(parts), n) + shape, dtype=dtype)
+            for shape in shapes]
 
 
-def _conv_forward(win: np.ndarray, w: np.ndarray, epilogue=None) -> np.ndarray | None:
-    """w @ the column block of every sample of windows (B, F_in, C, T, K), w
-    (F_out, F_in*K): chunk by chunk through one column buffer, the samples of
-    each chunk fanned out over the kernel pool, one matrix product each.
-    Without `epilogue`, returns the (B, F_out, C*T) products. With it, a
-    part's products go to its rows of one chunk buffer, where
-    epilogue(o, lo) consumes those of samples lo:lo + len(o); returns None."""
-    b, _, c, t, _ = win.shape
-    step, chunks, col_shape = _chunk_parts(win)
-    cols = _column_buffer(win, col_shape)
-    out = np.empty((b if epilogue is None else col_shape[0], w.shape[0], c * t),
-                   dtype=np.result_type(win, w))
+def _conv_forward(xpad: np.ndarray, w: np.ndarray, t: int, seg: int,
+                  epilogue=None) -> np.ndarray | None:
+    """The convolution of padded input xpad (B, F_in, C, T+K-1) with kernels
+    w (F_out, F_in, K), lowered to segments of L = seg output steps: the
+    Toeplitz matrix of w @ the segments of each sample, one matrix product a
+    sample, in blocks of samples fanned out over the kernel pool. Without
+    `epilogue`, returns the (B, F_out, C, T) output. With it, each block's
+    products (n, F_out*L, C*nb) go to its part's buffer, where
+    epilogue(prods, rows) consumes those of samples `rows`; returns None."""
+    b, f_in, c, _ = xpad.shape
+    f_out, _, k = w.shape
+    toe = _toeplitz(w, seg)
+    span, nb = seg + k - 1, -(-t // seg)
+    dtype = np.result_type(xpad, w)
+    direct = epilogue is None and seg == 1  # products in time order already
+    out = None if epilogue is not None else np.empty((b, f_out, c, t), dtype=dtype)
+    step, parts = _sample_parts(b, (f_in * span + f_out * seg) * c * nb * dtype.itemsize)
+    segs, prods = _part_buffers(parts, step, b, dtype,
+                                None if seg == 1 else (c, nb, f_in, span),
+                                None if direct else (f_out * seg, c * nb))
 
-    def task(_, lo, hi):
-        o = out[lo:hi] if epilogue is None else out[lo % step:][:hi - lo]
-        np.matmul(w, _im2col(win, lo, hi, cols), out=o)
-        if epilogue is not None:
-            epilogue(o, lo)
+    def task(i, lo, hi):
+        for rows in _blocks(lo, hi, step):
+            m = rows.stop - rows.start
+            cols = _segments(xpad[rows], seg, t, None if segs is None else segs[i, :m])
+            cols = cols.transpose(0, 2, 1)
+            if direct:
+                np.matmul(toe, cols, out=out[rows].reshape(m, f_out, c * t))
+                continue
+            p = np.matmul(toe, cols, out=prods[i, :m])
+            if epilogue is None:
+                _unsegment(p, seg, out[rows])
+            else:
+                epilogue(p, rows)
 
-    for _, parts in chunks:
-        _fan_out(task, parts)
-    return out if epilogue is None else None
+    _fan_out(task, parts)
+    return out
 
 
 def _check_conv_temporal(x, kernels, bias) -> None:
@@ -764,59 +849,77 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     x (B, F_in, C, T), kernels (F_out, F_in, 1, K), bias (F_out,).
     Time is padded with floor((K-1)/2) leading and ceil((K-1)/2) trailing
     zeros, so the output time length equals T; the channel axis is untouched.
-    Each chunk of samples is lowered to an im2col column block (at K = 1,
-    x itself) and multiplied by the (F_out, F_in*K) kernel matrix, forward
-    and backward. The chunks run in order through one column buffer the
-    calling thread allocates; the samples of a chunk are fanned out over the
-    kernel pool. Each sample is its own matrix product, and the weight
-    gradient adds the per-chunk sums in chunk order, so the values do not
-    depend on the pool's size.
+    Each padded row is cut into nb = ceil(T / L) overlapping segments of
+    L+K-1 samples (`_segments`; L = `_conv_segment(K)`, and at K = 1 the
+    segments are x itself), and the kernels into one banded (F_out*L,
+    F_in*(L+K-1)) Toeplitz matrix (`_toeplitz`). With G the cotangent cut
+    into blocks of L steps (its segments at K = 1):
+      output          Toeplitz @ segments
+      weight gradient G @ segments^T, its K diagonals summed
+      input gradient  Toeplitz^T @ G, the segments added back (`_overlap_add`)
+    Each sample is its own matrix product, in blocks of samples
+    (`_sample_parts`) fanned out over the kernel pool. The weight gradient
+    sums a block's products in sample order before taking the diagonals, and
+    adds the blocks in order; the blocks do not depend on the pool's size,
+    so neither do the values. The graph holds the padded input (as its
+    window view, whose rows backward copies out again) and the kernels, not
+    the Toeplitz matrix or the segments, which backward builds again.
     """
     _check_conv_temporal(x, kernels, bias)
     b_, f_in, c, t = x.shape
     f_out, _, _, k = kernels.shape
-    pad_l = (k - 1) // 2
-    win = _conv_windows(x.data, k)
-    w = kernels.data.reshape(f_out, f_in * k)
-    step, chunks, col_shape = _chunk_parts(win)
-    data = _conv_forward(win, w).reshape(b_, f_out, c, t)
+    seg = _conv_segment(k)
+    xpad = _conv_pad(x.data, k)
+    w = kernels.data.reshape(f_out, f_in, k)
+    data = _conv_forward(xpad, w, t, seg)
     data += bias.data.reshape(1, f_out, 1, 1)
+    # the graph keeps the padded input as its (B, F_in, C, T, K) window view
+    win = sliding_window_view(xpad, k, axis=3)
 
     def bw(g):
         gx = gw = gb = None
-        g3 = g.reshape(b_, f_out, c * t)
-        if x.requires_grad:
-            # col2im: each kernel tap j adds its column rows back at time shift j
-            gx = np.empty(x.shape, dtype=np.result_type(g, w))
-            gcols = np.empty(col_shape, dtype=gx.dtype)
-            gxpad = np.empty((col_shape[0], f_in, c, t + k - 1), dtype=gx.dtype)
+        if x.requires_grad or kernels.requires_grad:
+            padded = win[..., 0]  # the padded rows: the first tap, then the last window's rest
+            if k > 1:
+                padded = np.concatenate((padded, win[..., -1, 1:]), axis=-1)
+            toe = _toeplitz(w, seg) if x.requires_grad else None
+            dtype = np.result_type(g, w, padded)
+            span, nb = seg + k - 1, -(-t // seg)
+            # G blocks, segments, G @ segments^T, Toeplitz^T @ G, overlap-add
+            shapes = [(c, nb, f_out, seg), (c, nb, f_in, span), (f_out * seg, f_in * span),
+                      (f_in * span, c * nb), (f_in, c, nb + -(-span // seg) - 1, seg)]
+            step, parts = _sample_parts(b_, sum(map(math.prod, shapes)) * dtype.itemsize)
+            if seg == 1:  # the G blocks and the segments are g and x, the sums gx itself
+                shapes[0] = shapes[1] = shapes[4] = None
+            if not kernels.requires_grad:
+                shapes[1:3] = None, None
+            if not x.requires_grad:
+                shapes[3:] = None, None
+            bufs = _part_buffers(parts, step, b_, dtype, *shapes)
+            gx = np.empty(x.shape, dtype=dtype) if x.requires_grad else None
+            gws = np.empty((-(-b_ // step), f_out, f_in, k), dtype=dtype)  # one a block
+            dsums = np.empty((len(parts), f_out * seg, f_in * span), dtype=dtype)
 
-            def grad_input(_, lo, hi):
-                n, at = hi - lo, lo % step
-                gcol = np.matmul(w.T, g3[lo:hi], out=gcols[at:at + n]).reshape(n, f_in, k, c, t)
-                pad = gxpad[at:at + n]
-                pad.fill(0)
-                for j in range(k):
-                    pad[..., j:j + t] += gcol[:, :, j]
-                gx[lo:hi] = pad[..., pad_l:pad_l + t]
+            def task(i, lo, hi):
+                for rows in _blocks(lo, hi, step):
+                    gsegs_, xsegs_, dws_, dsegs_, accs_ = (
+                        None if buf is None else buf[i, :rows.stop - rows.start] for buf in bufs)
+                    gcols = _segments(g[rows], seg, t, gsegs_)
+                    if x.requires_grad:
+                        dseg = np.matmul(toe.T, gcols.transpose(0, 2, 1), out=dsegs_)
+                        _overlap_add(dseg, seg, k, accs_, gx[rows])
+                    if kernels.requires_grad:
+                        cols = _segments(padded[rows], seg, t, xsegs_)
+                        d = np.matmul(gcols.transpose(0, 2, 1), cols, out=dws_).sum(axis=0,
+                                                                                   out=dsums[i])
+                        # the K diagonals of the block's (F_out, L, F_in, L+K-1) sum
+                        s = d.reshape(f_out, seg, f_in, span).strides
+                        _strided(d, (f_out, f_in, k, seg), (s[0], s[2], s[3], s[1] + s[3])
+                                 ).sum(axis=-1, out=gws[rows.start // step])
 
-            for _, parts in chunks:
-                _fan_out(grad_input, parts)
-            del gcols, gxpad
-        if kernels.requires_grad:
-            cols = _column_buffer(win, col_shape)
-            prods = np.empty((col_shape[0],) + w.shape, dtype=np.result_type(g, win))
-            gw = np.zeros(w.shape, dtype=prods.dtype)
-
-            def grad_weight(_, lo, hi):
-                at = lo % step
-                np.matmul(g3[lo:hi], _im2col(win, lo, hi, cols).transpose(0, 2, 1),
-                          out=prods[at:at + hi - lo])
-
-            for rows, parts in chunks:
-                _fan_out(grad_weight, parts)
-                gw += prods[:rows.stop - rows.start].sum(axis=0)
-            gw = gw.reshape(kernels.shape)
+            _fan_out(task, parts)
+            if kernels.requires_grad:
+                gw = gws.sum(axis=0).reshape(kernels.shape)
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         return gx, gw, gb
@@ -1001,18 +1104,22 @@ def _conv_block(x: Tensor, kernels: Tensor, bias: Tensor, bn: BatchNormState,
     """conv_temporal -> batch_norm(mode="eval") -> leaky_relu(slope) ->
     avg_pool_time(pool, pool) of x (B, F_in, C, T), no graph: (B, F, C, T // pool).
 
-    The convolution walks its chunks as `conv_temporal` does. Each part's
-    products are finished in the chunk buffer, a block of (sample, feature
-    map) rows (at most _SCORE_BYTES) at a time, while still in cache: + bias,
-    * scale, + shift, LeakyReLU, then a reshape-mean written straight into
-    the pooled result. So the (B, F, C, T) activations and the pool's window
-    copy never exist; scratch is one column block, one chunk of products and
-    one block's LeakyReLU temporary a part. Each sample is one matrix product
-    over all C*T columns, and the elementwise ops are the composite ops' own,
-    in their order and dtypes (the model's parameters and buffers share one
-    dtype), so the result is bit-identical to theirs for pools shorter than
-    _SHORT_AXIS (the model's are 4 and 2; from 8 on `Tensor.mean` sums
-    pairwise). Shape errors are theirs too.
+    The convolution runs `conv_temporal`'s lowering. Each sample block's
+    products (sample, feature map, L, C*nb) are finished in its part's
+    buffer, a block of (sample, feature map) rows (at most _SCORE_BYTES) at
+    a time, while still in cache: + bias, * scale, + shift, LeakyReLU, then
+    the mean of each pool's rows, written straight into the pooled result.
+    (A pool that does not divide L pools a time-ordered copy of the row
+    block instead; the model's pools divide it. At K = 1, L = 1 and the
+    columns are in time order.) So the (B, F, C, T) activations, a
+    time-ordered copy of them and the pool's window copy never exist;
+    scratch is one block's segments and products, and one row block's
+    LeakyReLU temporary, a part. Each sample is one matrix product, and the
+    elementwise ops are the composite ops' own, in their order and dtypes
+    (the model's parameters and buffers share one dtype), so the result is
+    bit-identical to theirs for pools shorter than _SHORT_AXIS (the model's
+    are 4 and 2; from 8 on `Tensor.mean` sums pairwise). Shape errors are
+    theirs too.
     """
     _check_conv_temporal(x, kernels, bias)
     b, f_in, c, t = x.shape
@@ -1022,29 +1129,43 @@ def _conv_block(x: Tensor, kernels: Tensor, bias: Tensor, bn: BatchNormState,
     n = _windows(pool, pool, t)
     _, _, scale, shift = _running_affine(bn)
     # per (sample, feature map) row: its feature's bias, scale and shift
-    row_bias, row_scale, row_shift = (np.tile(a, b).reshape(b * f_out, 1)
+    row_bias, row_scale, row_shift = (np.tile(a, b).reshape(b * f_out, 1, 1)
                                       for a in (bias.data, scale, shift))
-    win = _conv_windows(x.data, k)
-    w = kernels.data.reshape(f_out, f_in * k)
-    dtype = np.result_type(win, w)
+    seg = _conv_segment(k)
+    nb = -(-t // seg)
+    w = kernels.data.reshape(f_out, f_in, k)
+    dtype = np.result_type(x.data, w)
     s = dtype.type(slope)
     pooled = np.empty((b, f_out, c, n), dtype=dtype)
     pooled_rows = pooled.reshape(b * f_out, c, n)
-    step = max(1, _SCORE_BYTES // (c * t * dtype.itemsize))
+    step = max(1, _SCORE_BYTES // (seg * c * nb * dtype.itemsize))
 
-    def epilogue(o, lo):
-        o = o.reshape(-1, c * t)
-        for block in _blocks(0, len(o), step):
-            rows = slice(lo * f_out + block.start, lo * f_out + block.stop)
-            z = o[block]
-            z += row_bias[rows]
-            z *= row_scale[rows]
-            z += row_shift[rows]
+    def pool_rows(z, out):
+        """Pooled means of rows z (r, L, C*nb) into out (r, C, n)."""
+        r = len(z)
+        if seg % pool:  # in time order: a copy, except at L = 1
+            z = z.reshape(r, seg, c, nb).transpose(0, 2, 3, 1).reshape(r, c, nb * seg)
+            _short_axis_mean(z[..., :n * pool].reshape(r, c, n, pool), out)
+            return
+        # the means in the products' layout, then in time order into out: a
+        # segment of L steps pools to one of L / pool
+        per = seg // pool
+        means = _short_axis_mean(z.reshape(r, per, pool, c, nb).transpose(0, 1, 3, 4, 2))
+        _unsegment(means.reshape(r, per, c * nb), per, out.reshape(r, 1, c, n))
+
+    def epilogue(prods, rows):
+        z3 = prods.reshape(-1, seg, c * nb)
+        first = rows.start * f_out
+        for block in _blocks(0, len(z3), step):
+            r = slice(first + block.start, first + block.stop)
+            z = z3[block]
+            z += row_bias[r]
+            z *= row_scale[r]
+            z += row_shift[r]
             np.maximum(z, s * z, out=z)
-            windows = z.reshape(-1, c, t)[..., :n * pool].reshape(-1, c, n, pool)
-            _short_axis_mean(windows, pooled_rows[rows])
+            pool_rows(z, pooled_rows[r])
 
-    _conv_forward(win, w, epilogue)
+    _conv_forward(_conv_pad(x.data, k), w, t, seg, epilogue)
     return pooled
 
 

@@ -73,6 +73,30 @@ def evaluate_segments(model: PatchFormerModel, ds: SegmentSet, batch_size: int =
     }
 
 
+def step(model: PatchFormerModel, adam: AdamState, xb: np.ndarray, yb: np.ndarray, lr: float,
+         tc: TrainConfig, rng: Rng) -> float:
+    """One optimization step on the batch xb (B, 1, c, l), labels yb:
+    train-mode forward with dropout drawn from `rng`, cross-entropy, backward
+    and an Adam update at learning rate `lr`. Returns the loss; a non-finite
+    loss is returned before backward, and no update is made."""
+    logits = model.forward(Tensor(xb), mode="train", rng=rng)
+    loss = cross_entropy(logits, yb)
+    loss_val = float(loss.data)
+    if not math.isfinite(loss_val):
+        return loss_val
+    model.zero_grad()
+    loss.backward()
+    # backward has freed the step's graph; this drops its two end nodes,
+    # whose arrays would otherwise live on through the update
+    del logits, loss
+    adam_step(
+        model.parameters, adam, lr,
+        beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps,
+        weight_decay=tc.weight_decay, decoupled_decay=tc.decoupled_decay,
+    )
+    return loss_val
+
+
 def train(model: PatchFormerModel, fold: LosoFold, tc: TrainConfig, rng: Rng,
           log_fn=None):
     """Fit on fold.train, select the epoch with the best validation accuracy.
@@ -104,23 +128,10 @@ def train(model: PatchFormerModel, fold: LosoFold, tc: TrainConfig, rng: Rng,
         for start in range(0, n, tc.batch_size):
             idx = order[start : start + tc.batch_size]
             xb = fold.train.X[idx][:, None, :, :].astype(model.dtype)
-            logits = model.forward(Tensor(xb), mode="train", rng=drop_rng)
-            loss = cross_entropy(logits, fold.train.y[idx])
-            loss_val = float(loss.data)
+            loss_val = step(model, state, xb, fold.train.y[idx], lr, tc, drop_rng)
             if not math.isfinite(loss_val):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            model.zero_grad()
-            loss.backward()
-            adam_step(
-                model.parameters, state, lr,
-                beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps,
-                weight_decay=tc.weight_decay, decoupled_decay=tc.decoupled_decay,
-            )
             losses.append(loss_val)
-            # backward has freed the step's graph; this drops its two end
-            # nodes, whose arrays would otherwise live on while the next
-            # batch's forward records its own
-            del logits, loss
 
         val_probs = predict_proba(model, fold.val.X, tc.batch_size)
         val_acc = accuracy(val_probs.argmax(axis=1), fold.val.y)

@@ -67,29 +67,27 @@ def _matmul(a_shape, b_shape):
     return [out.data, *out._backward(_values(np.float32, out.shape, 11))]
 
 
-def _conv_inputs(k):
+def _conv_inputs(k, t=17):
     return [Tensor(_values(np.float32, shape, seed), requires_grad=True)
-            for shape, seed in (((7, 2, 3, 17), 12), ((4, 2, 1, k), 13), ((4,), 14))]
+            for shape, seed in (((7, 2, 3, t), 12), ((4, 2, 1, k), 13), ((4,), 14))]
 
 
-def _conv_temporal(k):
-    out = conv_temporal(*_conv_inputs(k))
+def _conv_temporal(k, t=17):
+    out = conv_temporal(*_conv_inputs(k, t))
     return [out.data, *out._backward(_values(np.float32, out.shape, 15))]
 
 
-def _conv_block(k):
+def _conv_block(k, pool=3, t=17):
     rng = np.random.default_rng(16)
     bn = BatchNormState(*(Tensor(rng.normal(size=4).astype(np.float32)) for _ in range(2)),
                         rng.normal(size=4).astype(np.float32),
                         rng.uniform(0.5, 2.0, size=4).astype(np.float32))
-    return [tensor._conv_block(*_conv_inputs(k), bn, 0.01, 3)]
+    return [tensor._conv_block(*_conv_inputs(k, t), bn, 0.01, pool)]
 
 
 # kernel -> (run, byte caps): caps that cut each case into more blocks than
 # the largest pool has threads
-SAMPLE_COLS = 2 * 5 * 3 * 17 * 4  # column bytes of one sample of a conv case at K = 5
-CONV_CAPS = {k: {"_COLUMN_BYTES": 4 * SAMPLE_COLS * k // 5, "_PART_BYTES": SAMPLE_COLS * k // 5}
-             for k in (1, 5)}  # chunks of 4 and 3 samples, one sample a part
+CONV_CAPS = {"_PART_BYTES": 1}  # blocks of one sample
 CASES = {
     # one S x S array per (sample, head) slice: groups of 2 heads of 5, so
     # 9 groups, and of 3 heads, so 6 groups, in both passes
@@ -101,10 +99,13 @@ CASES = {
     "matmul": (lambda: _matmul((7, 3, 10, 6), (7, 3, 10, 6)), {"_SCORE_BYTES": 3 * 10 * 10 * 4}),
     "matmul_outer": (lambda: _matmul((7, 3, 10, 1), (7, 3, 10, 1)),
                      {"_SCORE_BYTES": 3 * 10 * 10 * 4}),
-    "conv_temporal": (lambda: _conv_temporal(5), CONV_CAPS[5]),
-    "conv_temporal_k1": (lambda: _conv_temporal(1), CONV_CAPS[1]),
-    "conv_block": (lambda: _conv_block(5), CONV_CAPS[5]),
-    "conv_block_k1": (lambda: _conv_block(1), CONV_CAPS[1]),
+    "conv_temporal": (lambda: _conv_temporal(5), CONV_CAPS),
+    "conv_temporal_k1": (lambda: _conv_temporal(1), CONV_CAPS),
+    "conv_block": (lambda: _conv_block(5), CONV_CAPS),
+    "conv_block_k1": (lambda: _conv_block(1), CONV_CAPS),
+    # segments past L = 32 steps: two whole ones and a partial one, K > L
+    "conv_temporal_segments": (lambda: _conv_temporal(40, 70), CONV_CAPS),
+    "conv_block_segments": (lambda: _conv_block(40, 4, 70), CONV_CAPS),
 }
 # composite ops run on the calling thread: even under the small caps above
 # they fan out at no pool size
@@ -183,7 +184,7 @@ def _conv_in_child(conn, inputs):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_runs_pooled_kernels_on_its_own_pool(monkeypatch, pool_size):
-    for name, value in CONV_CAPS[5].items():
+    for name, value in CONV_CAPS.items():
         monkeypatch.setattr(tensor, name, value)
     pool_size(2)
     inputs = _conv_inputs(5)

@@ -999,15 +999,51 @@ def _assert_close(got, want):
 @pytest.mark.parametrize("k", [1, 4, 7])
 def test_conv_temporal_matches_the_einsum_formulation(monkeypatch, k):
     b, f_in, c, t, f_out = 5, 3, 2, 13, 4
-    # a column block of two samples: the batch of 5 runs as chunks of 2, 2 and 1
-    monkeypatch.setattr(tensor, "_COLUMN_BYTES", 2 * f_in * k * c * t * 8)
-    assert [s.indices(b) for s in tensor._blocks(0, b, tensor._batch_step(f_in * k * c * t * 8))] \
-        == [(0, 2, 1), (2, 4, 1), (4, 5, 1)]
     rng = np.random.default_rng(k)
+    x, w = rng.normal(size=(b, f_in, c, t)), rng.normal(size=(f_out, f_in, 1, k))
+    bias, g = rng.normal(size=f_out), rng.normal(size=(b, f_out, c, t))
+    want = oracles.conv_temporal_einsum(x, w, bias, g)
+    _assert_close(_conv_grads(conv_temporal, x, w, bias, g), want)  # one block of 5 samples
+    monkeypatch.setattr(tensor, "_PART_BYTES", 1)  # blocks of one sample
+    _assert_close(_conv_grads(conv_temporal, x, w, bias, g), want)
+
+
+# (B, F_in, C, T, F_out, K) around the segment length L (8 below K = 32, 32
+# from there on): T < L, T not a multiple of L, the reference T and K (K > L,
+# five overlap-add passes), even K (one more trailing than leading zero),
+# K = 1 and F_in > 1
+SEGMENT_CASES = {
+    "t_under_l": (2, 1, 3, 5, 4, 5),
+    "t_under_l_long_k": (2, 1, 3, 13, 4, 33),
+    "t33": (2, 2, 3, 33, 3, 6),
+    "t1000_k125": (1, 1, 2, 1000, 3, 125),
+    "k_over_l": (2, 2, 2, 70, 2, 40),
+    "even_k": (2, 3, 2, 64, 4, 8),
+    "even_long_k": (2, 1, 2, 50, 3, 34),
+    "k1": (3, 4, 2, 33, 5, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(SEGMENT_CASES))
+def test_conv_temporal_segments_match_the_einsum_formulation(case):
+    b, f_in, c, t, f_out, k = SEGMENT_CASES[case]
+    rng = np.random.default_rng(t + k)
     x, w = rng.normal(size=(b, f_in, c, t)), rng.normal(size=(f_out, f_in, 1, k))
     bias, g = rng.normal(size=f_out), rng.normal(size=(b, f_out, c, t))
     _assert_close(_conv_grads(conv_temporal, x, w, bias, g),
                   oracles.conv_temporal_einsum(x, w, bias, g))
+
+
+@pytest.mark.parametrize("pool", [2, 4])
+@pytest.mark.parametrize("t", [33, 70])
+@pytest.mark.parametrize("k", [9, 33])
+def test_conv_block_pools_segments_bit_identically(pool, t, k):
+    # the model's pools divide L (8 at K = 9, 32 at K = 33), so they average
+    # rows of the products; T % L != 0 leaves a partial last segment
+    args = _conv_block_inputs(np.float32, k, t)
+    want = _composite_block(*args, 0.01, pool)
+    got = tensor._conv_block(*args, 0.01, pool)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_conv_spatial_matches_the_einsum_formulation():
@@ -1077,9 +1113,12 @@ def test_short_axis_mean_is_bit_identical_to_numpy(dtype, n):
 
 def test_conv_temporal_memory_grows_with_the_batch_by_arrays_not_columns(monkeypatch, pool_sizes):
     f_in, c, t, k, f_out = 2, 4, 256, 33, 2
-    sample_cols = f_in * k * c * t * 4
-    monkeypatch.setattr(tensor, "_COLUMN_BYTES", 2 * sample_cols)
-    monkeypatch.setattr(tensor, "_PART_BYTES", sample_cols)  # a chunk's samples fan out
+    seg = tensor._conv_segment(k)
+    span, nb = seg + k - 1, -(-t // seg)
+    sample_segments = f_in * span * c * nb * 4
+    sample_cols = f_in * k * c * t * 4  # what im2col would copy
+    # one sample's segments alone fill _PART_BYTES: blocks of one sample, fanned out
+    monkeypatch.setattr(tensor, "_PART_BYTES", sample_segments)
 
     def peak(b):
         rng = np.random.default_rng(b)
@@ -1097,16 +1136,17 @@ def test_conv_temporal_memory_grows_with_the_batch_by_arrays_not_columns(monkeyp
     arrays = 6 * max(f_in, f_out) * c * (t + k - 1) * 4
     for size in pool_sizes:
         tensor.set_pool_threads(size)
-        per_sample = (peak(20) - peak(4)) / 16
+        # both batches span every part, so they hold the same segment scratch
+        per_sample = (peak(24) - peak(8)) / 16
         assert per_sample < arrays < sample_cols / 2, size
 
 
 def test_conv_temporal_reads_its_k1_columns_in_place():
-    # a 1x1 convolution multiplies its input itself: no padded or im2col copy
+    # a 1x1 convolution multiplies its input itself: no padded or segment copy
     x = np.random.default_rng(0).normal(size=(5, 3, 2, 7))
-    cols = tensor._im2col(tensor._conv_windows(x, 1), 1, 4, None)
+    cols = tensor._segments(tensor._conv_pad(x, 1)[1:4], tensor._conv_segment(1), 7, None)
     assert np.shares_memory(cols, x)
-    np.testing.assert_array_equal(cols, x[1:4].reshape(3, 3, 14))
+    np.testing.assert_array_equal(cols, x[1:4].reshape(3, 3, 14).transpose(0, 2, 1))
 
 
 def test_no_graph_reference_conv_block_holds_no_full_size_activation(pool_sizes):
@@ -1114,7 +1154,12 @@ def test_no_graph_reference_conv_block_holds_no_full_size_activation(pool_sizes)
     model = build(cfg, Rng(0))
     f, c, t, k = cfg.k, cfg.c, cfg.l, cfg.kernel_len
     sample = f * c * t * 4  # one sample of (B, F, C, T) float32 activations
-    step = tensor._batch_step(k * c * t * 4)  # samples per chunk: 2
+    seg = tensor._conv_segment(k)
+    span, nb = seg + k - 1, -(-t // seg)
+    # one sample's segments and products: more than _PART_BYTES, so a block
+    # is one sample, and each part holds one block's
+    block = (span + f * seg) * c * nb * 4
+    assert block > tensor._PART_BYTES
     rng = np.random.default_rng(1)
 
     def peak(b):
@@ -1131,16 +1176,19 @@ def test_no_graph_reference_conv_block_holds_no_full_size_activation(pool_sizes)
         tensor.set_pool_threads(size)
         out, at_4 = peak(4)
         assert out.shape == (4, f, c, t // 4)
-        # the pooled output, one column block and one chunk of products;
-        # slack: LeakyReLU's temporaries (a block of feature maps a part, at
-        # most one part a sample of the chunk), the padded input and 1 MiB
-        scratch = step * k * c * t * 4 + step * sample
-        slack = step * tensor._SCORE_BYTES + 4 * c * (t + k - 1) * 4 + (1 << 20)
+        # the pooled output and one block's segments and products a part;
+        # slack: LeakyReLU's temporaries (a row block a part), the padded
+        # input and 1 MiB
+        parts = min(4, size)
+        scratch = parts * block
+        slack = parts * tensor._SCORE_BYTES + 4 * c * (t + k - 1) * 4 + (1 << 20)
         assert at_4 <= out.data.nbytes + scratch + slack, size
         # a sample more costs its pooled output and padded input, not a
-        # (F, C, T) array
+        # (F, C, T) array; both batches span every part, so they hold the
+        # same segment scratch
         _, at_8 = peak(8)
-        assert (at_8 - at_4) / 4 < sample / 2, size
+        _, at_16 = peak(16)
+        assert (at_16 - at_8) / 8 < sample / 2, size
 
 
 class _Mallinfo2(ctypes.Structure):
