@@ -221,7 +221,12 @@ _PART_BYTES = 4 << 20
 # grouped so that the group's one S x S array, exp(q k^T - m), fits this many
 # bytes (3 heads at S = 264 in float32), so the exp and the matrix products
 # that read it stay in a per-core L2 cache. The no-graph conv block finishes
-# its rows in blocks of the same size.
+# its rows in blocks of the same size, and so does the row-block walker
+# (`_walk_rows`) of the train-mode front end: batch norm, LeakyReLU, the
+# pools' window copy and mean, and the convolution's bias, each pass over
+# blocks of rows of at most this many bytes (at least one row). An array
+# that fits one block (every one of the small acceptance config, 480 KiB at
+# most) runs inline as one call per pass.
 _SCORE_BYTES = 1 << 20
 
 # Cap on the group buffers one pass of the width-1 attention op, forward or
@@ -246,6 +251,47 @@ def _short_axis_mean(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
         out += a[..., j]
     out /= n
     return out
+
+
+def _walk_rows(task, rows: np.ndarray) -> None:
+    """task(samples, maps) for each block of the (sample, feature map) rows
+    of `rows` (B, F, ...): whole samples where one fits in _SCORE_BYTES,
+    else ranges of one sample's maps that fit (at least one), fanned out
+    over the kernel pool; `rows` that fit in one block are one call on the
+    calling thread. Tasks write only block [samples, maps] of arrays the
+    caller allocated, and the blocks depend on the shape alone, so the
+    results do not depend on the pool's size."""
+    b, f = rows.shape[:2]
+    if rows.nbytes <= _SCORE_BYTES:
+        task(slice(0, b), slice(0, f))
+        return
+    row_bytes = rows.itemsize * math.prod(rows.shape[2:])
+    if f * row_bytes <= _SCORE_BYTES:
+        blocks = [(samples, slice(0, f))
+                  for samples in _blocks(0, b, _SCORE_BYTES // max(1, f * row_bytes))]
+    else:
+        blocks = [(slice(i, i + 1), maps) for i in range(b)
+                  for maps in _blocks(0, f, max(1, _SCORE_BYTES // row_bytes))]
+
+    def part(i, lo, hi):
+        for block in blocks[lo:hi]:
+            task(*block)
+
+    _fan_out(part, _parts(len(blocks), 1))
+
+
+def _maps(a: np.ndarray) -> np.ndarray:
+    """`a` as (sample, feature map) rows for `_walk_rows`: a view of at
+    least rank 3, with leading axes of length 1 below that."""
+    return a.reshape((1,) * (3 - a.ndim) + a.shape) if a.ndim < 3 else a
+
+
+def _sample_sums(row_sums: np.ndarray) -> np.ndarray:
+    """Per-feature totals of (B, F) row sums, added over samples in sample
+    order. numpy's x.sum(axis=(0, 2)) of a C-contiguous (B, F, N) x sums
+    each row pairwise, then adds the rows in that order, so totals of
+    whole-row sums are bit-identical to it."""
+    return row_sums.sum(axis=0)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -413,7 +459,10 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if self.ndim and axis in (-1, self.ndim - 1) and 0 < self.shape[-1] < _SHORT_AXIS:
-            data = _short_axis_mean(self.data)
+            rows = _maps(self.data)
+            data = np.empty(self.shape[:-1], dtype=self.dtype)
+            out = data.reshape(rows.shape[:-1])
+            _walk_rows(lambda bs, fs: _short_axis_mean(rows[bs, fs], out[bs, fs]), rows)
             if keepdims:
                 data = data[..., None]
         else:
@@ -559,11 +608,28 @@ def _check_slope(slope: float) -> None:
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     _check_slope(slope)
     s = x.data.dtype.type(slope)
-    data = np.maximum(x.data, s * x.data)  # s * x <= x exactly where x >= 0
+    xs = _maps(x.data)
+    data = np.empty(x.shape, dtype=x.dtype)
+    out = _maps(data)
+
+    def forward(bs, fs):
+        np.multiply(s, xs[bs, fs], out=out[bs, fs])
+        np.maximum(xs[bs, fs], out[bs, fs], out=out[bs, fs])  # s * x <= x exactly where x >= 0
+
+    _walk_rows(forward, xs)
 
     def bw(g):
-        # the factor is exactly 1 where x >= 0 and s elsewhere, since 0 < s < 1
-        return (g * np.maximum(x.data >= 0, s),)
+        xs, gs = _maps(x.data), _maps(g)
+        gx = np.empty(x.shape, dtype=np.result_type(g, x.data))
+        gxs = _maps(gx)
+
+        def backward(bs, fs):
+            # the factor is exactly 1 where x >= 0 and s elsewhere, since 0 < s < 1
+            np.maximum(xs[bs, fs] >= 0, s, out=gxs[bs, fs])
+            gxs[bs, fs] *= gs[bs, fs]
+
+        _walk_rows(backward, gxs)
+        return (gx,)
 
     return Tensor._from_op(data, (x,), bw)
 
@@ -641,22 +707,35 @@ def sliding_windows(x: Tensor, size: int, step: int) -> Tensor:
     """Strided windows over the last axis: (..., T) -> (..., n, size)."""
     n = _windows(size, step, x.shape[-1])
     starts = np.arange(n) * step
+    win = sliding_window_view(_maps(x.data), size, axis=-1)[..., ::step, :]
     # a copy even when the windows tile the axis and the view is contiguous
-    data = sliding_window_view(x.data, size, axis=-1)[..., ::step, :].copy()
+    data = np.empty(x.shape[:-1] + (n, size), dtype=x.dtype)
+    out = data.reshape(win.shape)
+
+    def forward(bs, fs):
+        out[bs, fs] = win[bs, fs]
+
+    _walk_rows(forward, out)
 
     def bw(g):
-        if step == size:  # the windows tile the axis: each position is written once
-            gx = np.empty(x.shape, dtype=x.dtype)
-            tiles = gx[..., :n * size].reshape(g.shape)
+        gx = np.empty(x.shape, dtype=x.dtype)
+        gxs = _maps(gx)
+        gs = g.reshape(gxs.shape[:-1] + (n, size))
+
+        def tiled(bs, fs):  # the windows tile the axis: each position is written once
+            tiles = gxs[bs, fs, ..., :n * size].reshape(gs[bs, fs].shape)
             for j in range(size):
                 # + 0 turns a -0.0 gradient into the +0.0 that zeros + g gives
-                np.add(g[..., j], 0, out=tiles[..., j])
-            gx[..., n * size:] = 0
-            return (gx,)
-        gx = np.zeros_like(x.data)
-        for j in range(size):
-            # offset j of every window: distinct positions, one strided slice
-            gx[..., j:starts[-1] + j + 1:step] += g[..., j]
+                np.add(gs[bs, fs, ..., j], 0, out=tiles[..., j])
+            gxs[bs, fs, ..., n * size:] = 0
+
+        def overlapping(bs, fs):
+            gxs[bs, fs] = 0
+            for j in range(size):
+                # offset j of every window: distinct positions, one strided slice
+                gxs[bs, fs, ..., j:starts[-1] + j + 1:step] += gs[bs, fs, ..., j]
+
+        _walk_rows(tiled if step == size else overlapping, gs)
         return (gx,)
 
     return Tensor._from_op(data, (x,), bw)
@@ -872,7 +951,12 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     xpad = _conv_pad(x.data, k)
     w = kernels.data.reshape(f_out, f_in, k)
     data = _conv_forward(xpad, w, t, seg)
-    data += bias.data.reshape(1, f_out, 1, 1)
+    bias_maps = bias.data.reshape(f_out, 1, 1)
+
+    def add_bias(bs, fs):
+        data[bs, fs] += bias_maps[fs]
+
+    _walk_rows(add_bias, data)
     # the graph keeps the padded input as its (B, F_in, C, T, K) window view
     win = sliding_window_view(xpad, k, axis=3)
 
@@ -920,8 +1004,11 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             _fan_out(task, parts)
             if kernels.requires_grad:
                 gw = gws.sum(axis=0).reshape(kernels.shape)
-        if bias.requires_grad:
-            gb = g.sum(axis=(0, 2, 3))
+        if bias.requires_grad:  # the order of g.sum(axis=(0, 2, 3)), see _sample_sums
+            g3 = g.reshape(b_, f_out, c * t)
+            sums = np.empty((b_, f_out), dtype=g3.dtype)
+            _walk_rows(lambda bs, fs: g3[bs, fs].sum(axis=-1, out=sums[bs, fs]), g3)
+            gb = _sample_sums(sums)
         return gx, gw, gb
 
     return Tensor._from_op(data, (x, kernels, bias), bw)
@@ -1023,32 +1110,60 @@ def batch_norm(x: Tensor, bn: BatchNormState, mode: str = "train") -> Tensor:
     if mode == "train":
         if n < 2:
             raise ShapeError("train-mode batch norm needs at least 2 values per feature map")
-        # the same sums and divisions as numpy's mean and var, so bit-identical
-        mean = x3.sum(axis=(0, 2)) / n
-        xhat = x3 - mean[:, None]
-        out = np.multiply(xhat, xhat)
-        var = out.sum(axis=(0, 2)) / n  # biased, used for normalization
+        # the (sample, feature map) rows of x3 in `_walk_rows` blocks, one
+        # pass per whole-array step below; the per-feature sums are
+        # `_sample_sums` of row sums, so the statistics are bit-identical to
+        # x3.sum(axis=(0, 2)) and to numpy's mean and var
+        sums = np.empty((b, f), dtype=x3.dtype)
+        _walk_rows(lambda bs, fs: x3[bs, fs].sum(axis=-1, out=sums[bs, fs]), x3)
+        mean = _sample_sums(sums) / n
+        xhat, out = np.empty(x3.shape, dtype=x3.dtype), np.empty(x3.shape, dtype=x3.dtype)
+
+        def centre(bs, fs):
+            np.subtract(x3[bs, fs], mean[fs, None], out=xhat[bs, fs])
+            np.multiply(xhat[bs, fs], xhat[bs, fs], out=out[bs, fs])
+            out[bs, fs].sum(axis=-1, out=sums[bs, fs])
+
+        _walk_rows(centre, x3)
+        var = _sample_sums(sums) / n  # biased, used for normalization
         m = bn.momentum
         bn.running_mean *= 1.0 - m
         bn.running_mean += m * mean
         bn.running_var *= 1.0 - m
         bn.running_var += m * var * (n / (n - 1))  # unbiased running estimate
         inv = 1.0 / np.sqrt(var + bn.eps)
-        xhat *= inv[:, None]
-        np.multiply(gamma[:, None], xhat, out=out)
-        out += bn.beta.data[:, None]
+        beta = bn.beta.data
+
+        def normalize(bs, fs):
+            xhat[bs, fs] *= inv[fs, None]
+            np.multiply(gamma[fs, None], xhat[bs, fs], out=out[bs, fs])
+            out[bs, fs] += beta[fs, None]
+
+        _walk_rows(normalize, x3)
 
         def bw(g):
             # with dxhat = g * gamma, the two means of the composite formula
             # are gamma * dbeta / n and gamma * dgamma / n
             g3 = g.reshape(b, f, c * t)
-            dbeta = g3.sum(axis=(0, 2))
-            dx = g3 * xhat
-            dgamma = dx.sum(axis=(0, 2))
-            np.multiply(xhat, (dgamma / n)[:, None], out=dx)
-            np.subtract(g3, dx, out=dx)
-            dx -= (dbeta / n)[:, None]
-            dx *= (gamma * inv)[:, None]
+            dx = np.empty(xhat.shape, dtype=np.result_type(g3, xhat))
+            gsums, dsums = np.empty((b, f), dtype=g3.dtype), np.empty((b, f), dtype=dx.dtype)
+
+            def row_sums(bs, fs):
+                g3[bs, fs].sum(axis=-1, out=gsums[bs, fs])
+                np.multiply(g3[bs, fs], xhat[bs, fs], out=dx[bs, fs])
+                dx[bs, fs].sum(axis=-1, out=dsums[bs, fs])
+
+            _walk_rows(row_sums, dx)
+            dbeta, dgamma = _sample_sums(gsums), _sample_sums(dsums)
+            dgamma_n, dbeta_n, scale = dgamma / n, dbeta / n, gamma * inv
+
+            def dx_rows(bs, fs):
+                np.multiply(xhat[bs, fs], dgamma_n[fs, None], out=dx[bs, fs])
+                np.subtract(g3[bs, fs], dx[bs, fs], out=dx[bs, fs])
+                dx[bs, fs] -= dbeta_n[fs, None]
+                dx[bs, fs] *= scale[fs, None]
+
+            _walk_rows(dx_rows, dx)
             return dx.reshape(x.shape), dgamma, dbeta
 
         return Tensor._from_op(out.reshape(x.shape), (x, bn.gamma, bn.beta), bw)

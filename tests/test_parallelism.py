@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import patchformer
-from patchformer import tensor
+from patchformer import optim, tensor
 from patchformer.config import ABLATIONS, reference_config
 from patchformer.model import build
 from patchformer.rng import Rng
-from patchformer.tensor import BatchNormState, Tensor, conv_temporal, dropout, no_grad, softmax
+from patchformer.tensor import (BatchNormState, Tensor, avg_pool_time, batch_norm, conv_temporal,
+                                dropout, leaky_relu, no_grad, sliding_windows, softmax)
+from patchformer.train import TrainConfig, step
 
 POOL_SIZES = (1, 2, 3)  # 3 cuts the blocks unevenly
 
@@ -85,9 +87,24 @@ def _conv_block(k, pool=3, t=17):
     return [tensor._conv_block(*_conv_inputs(k, t), bn, 0.01, pool)]
 
 
+def _unary(op, shape=(7, 4, 3, 17)):
+    """Output and input gradient of op(x) for a recorded x of `shape`."""
+    x = Tensor(_values(np.float32, shape, 17), requires_grad=True)
+    out = op(x)
+    return [out.data, *out._backward(_values(np.float32, out.shape, 18))]
+
+
+def _batch_norm_train():
+    rng = np.random.default_rng(19)
+    bn = BatchNormState(*(Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
+                          for _ in range(2)), np.zeros(4, np.float32), np.ones(4, np.float32))
+    return _unary(lambda x: batch_norm(x, bn, "train")) + [bn.running_mean, bn.running_var]
+
+
 # kernel -> (run, byte caps): caps that cut each case into more blocks than
 # the largest pool has threads
 CONV_CAPS = {"_PART_BYTES": 1}  # blocks of one sample
+ROW_CAPS = {"_SCORE_BYTES": 1}  # blocks of one row
 CASES = {
     # one S x S array per (sample, head) slice: groups of 2 heads of 5, so
     # 9 groups, and of 3 heads, so 6 groups, in both passes
@@ -106,6 +123,14 @@ CASES = {
     # segments past L = 32 steps: two whole ones and a partial one, K > L
     "conv_temporal_segments": (lambda: _conv_temporal(40, 70), CONV_CAPS),
     "conv_block_segments": (lambda: _conv_block(40, 4, 70), CONV_CAPS),
+    # the front end's row-block passes: (sample, feature map) rows, one a
+    # block, 28 blocks; the convolution itself is one sample block
+    "batch_norm_train": (_batch_norm_train, ROW_CAPS),
+    "leaky_relu": (lambda: _unary(lambda x: leaky_relu(x, 0.01)), ROW_CAPS),
+    "sliding_windows_tiled": (lambda: _unary(lambda x: sliding_windows(x, 4, 4)), ROW_CAPS),
+    "sliding_windows_overlapping": (lambda: _unary(lambda x: sliding_windows(x, 5, 2)), ROW_CAPS),
+    "avg_pool_time": (lambda: _unary(lambda x: avg_pool_time(x, 3, 3)), ROW_CAPS),
+    "conv_temporal_bias": (lambda: _conv_temporal(5), ROW_CAPS),
 }
 # composite ops run on the calling thread: even under the small caps above
 # they fan out at no pool size
@@ -146,6 +171,20 @@ def test_pooled_kernels_are_bit_identical_at_every_pool_size(monkeypatch, pool_s
     assert len(kernel_threads) <= POOL_SIZES[-1]
 
 
+# 1: ranges of one sample's feature maps, one map a block; 1000: whole
+# samples of the (7, 4, 3, 17) float32 cases (816 bytes), one a block, and
+# map ranges for the overlapping windows' (1680 bytes a sample)
+@pytest.mark.parametrize("cap", [1, 1000])
+@pytest.mark.parametrize("case", [case for case, (_, caps) in CASES.items() if caps is ROW_CAPS])
+def test_row_blocks_give_the_bytes_of_one_block(monkeypatch, pool_size, case, cap):
+    run = CASES[case][0]
+    whole = run()  # each array fits one block: one call on the calling thread
+    monkeypatch.setattr(tensor, "_SCORE_BYTES", cap)
+    pool_size(POOL_SIZES[-1])
+    for got, want in zip(run(), whole):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", ["small", "reference"])
 def test_pooled_front_end_blocks_equal_the_recorded_ops(pool_size, front_end_state,
@@ -174,6 +213,32 @@ def test_pooled_front_end_blocks_equal_the_recorded_ops(pool_size, front_end_sta
                     assert not z.requires_grad
                     assert z.dtype == want.dtype and z.shape == want.shape
                     assert z.data.tobytes() == want.data.tobytes(), (ablation, b, size, stage)
+
+
+def test_small_config_train_step_runs_the_front_end_inline(monkeypatch, small_loso_config):
+    """A train step of the small acceptance config (B=16) cuts none of its
+    front-end arrays, 480 KiB at most, into more than one part."""
+    walked, widths = [], []
+    walk_rows, fan_out = tensor._walk_rows, tensor._fan_out
+
+    def walk_spy(task, rows):
+        walked.append(rows.nbytes)
+        walk_rows(task, rows)
+
+    def fan_out_spy(task, parts):
+        widths.append(len(parts))
+        fan_out(task, parts)
+
+    monkeypatch.setattr(tensor, "_walk_rows", walk_spy)
+    monkeypatch.setattr(tensor, "_fan_out", fan_out_spy)
+    model = build(small_loso_config, Rng(1))
+    cfg, b = model.config, 16
+    x = np.random.default_rng(2).normal(size=(b, 1, cfg.c, cfg.l)).astype(np.float32)
+    tc = TrainConfig()
+    step(model, optim.AdamState.for_params(model.parameters), x, np.arange(b) % 2, tc.lr0, tc,
+         Rng(3))
+    assert walked and max(walked) <= b * cfg.k * cfg.c * cfg.l * 4 == 480 << 10
+    assert widths and set(widths) == {1}
 
 
 def _conv_in_child(conn, inputs):

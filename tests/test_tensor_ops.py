@@ -1111,6 +1111,62 @@ def test_short_axis_mean_is_bit_identical_to_numpy(dtype, n):
     np.testing.assert_array_equal(xt.grad, np.broadcast_to(g[..., None], a.shape).copy() / n)
 
 
+# Per-feature sums of (sample, feature map) rows must add whole-row sums
+# over samples in sample order, as x3.sum(axis=(0, 2)) does: in float32,
+# sums over the per-feature slices x3[:, j:j+1] differ from it at the first
+# four shapes
+REDUCTION_SHAPES = [(3, 5, 7, 33), (4, 4, 4, 64), (16, 8, 6, 160), (4, 32, 1, 125),
+                    (4, 32, 28, 1000)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", REDUCTION_SHAPES)
+def test_row_block_sums_keep_the_whole_array_order(monkeypatch, dtype, shape):
+    """batch_norm's train-mode mean, variance, dgamma and dbeta and
+    conv_temporal's bias gradient, summed in blocks of one row, are the
+    whole-array formulas' bit for bit."""
+    monkeypatch.setattr(tensor, "_SCORE_BYTES", 1)
+    totals, sample_sums = [], tensor._sample_sums
+    monkeypatch.setattr(tensor, "_sample_sums",
+                        lambda *args: totals.append(sample_sums(*args)) or totals[-1])
+    b, f, c, t = shape
+    n = b * c * t
+    x, g = _signed_values(dtype, shape, 5), _signed_values(dtype, shape, 6)
+    rng = np.random.default_rng(7)
+    bn = BatchNormState(*(Tensor(rng.normal(size=f).astype(dtype), requires_grad=True)
+                          for _ in range(2)), np.zeros(f, dtype), np.ones(f, dtype))
+    out = batch_norm(Tensor(x, requires_grad=True), bn, "train")
+    _, dgamma, dbeta = out._backward(g)
+    x3, g3 = x.reshape(b, f, c * t), g.reshape(b, f, c * t)
+    mean = x3.sum(axis=(0, 2)) / n
+    xhat = x3 - mean[:, None]
+    var = np.multiply(xhat, xhat).sum(axis=(0, 2)) / n
+    xhat *= (1.0 / np.sqrt(var + bn.eps))[:, None]
+    assert len(totals) == 4  # the statistics' sums, then dbeta and dgamma
+    for got, want in [(totals[0] / n, mean), (totals[1] / n, var),
+                      (dgamma, (g3 * xhat).sum(axis=(0, 2))), (dbeta, g3.sum(axis=(0, 2)))]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # a 1x1 convolution of one input map: only the bias needs a gradient
+    conv = conv_temporal(Tensor(x[:, :1]), Tensor(np.ones((f, 1, 1, 1), dtype)),
+                         Tensor(np.zeros(f, dtype), requires_grad=True))
+    gb = conv._backward(g)[2]
+    assert gb.dtype == dtype and gb.tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_bias_gradient_keeps_the_whole_array_order_at_the_paper_batch(monkeypatch, dtype):
+    # B=64 of the reference shape; batch norm's sums take the same path, but
+    # its arrays at this shape would hold five times the memory
+    monkeypatch.setattr(tensor, "_SCORE_BYTES", 1)
+    b, f, c, t = 64, 32, 28, 1000
+    bw = conv_temporal(Tensor(np.zeros((b, 1, c, t), dtype)), Tensor(np.ones((f, 1, 1, 1), dtype)),
+                       Tensor(np.zeros(f, dtype), requires_grad=True))._backward
+    g = np.random.default_rng(8).standard_normal((b, f, c, t), dtype=dtype)
+    g.reshape(-1)[::7] = 0.0
+    g.reshape(-1)[3::11] = -0.0
+    assert bw(g)[2].tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
+
+
 def test_conv_temporal_memory_grows_with_the_batch_by_arrays_not_columns(monkeypatch, pool_sizes):
     f_in, c, t, k, f_out = 2, 4, 256, 33, 2
     seg = tensor._conv_segment(k)
