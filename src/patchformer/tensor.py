@@ -15,6 +15,7 @@ the rule: finite inputs must give finite outputs.
 from __future__ import annotations
 
 import contextlib
+import functools
 import ctypes
 import glob
 import math
@@ -147,20 +148,56 @@ def _executor() -> ThreadPoolExecutor:
         return _pool[1]
 
 
-def _parts(total: int, step: int, most: int | None = None) -> list:
-    """(lo, hi) ranges covering range(total), one per pool thread, at most
-    one per block of `step` items and at most `most` (at least one); every
-    cut falls on a block boundary, so a part walks exactly the blocks a
-    single loop would."""
-    blocks = -(-total // step)
-    n = max(1, min(blocks, pool_threads(), blocks if most is None else most))
-    return [(min(total, blocks * i // n * step), min(total, blocks * (i + 1) // n * step))
-            for i in range(n)]
+@functools.lru_cache(maxsize=128)
+def _grid(b: int, units: int, unit_bytes: int, cap: int) -> tuple:
+    """The blocks (samples, units), as slices, of a pass over b samples of
+    `units` units of `unit_bytes` each: as many whole samples as fit in
+    `cap` where one fits, else ranges of one sample's units that fit (at
+    least one unit). Row-major, the first block the largest; the blocks
+    depend on the shape alone, so the results of a pass do not depend on
+    the kernel pool's size, and each shape's blocks are made once."""
+    whole = units * unit_bytes
+    if whole <= cap:
+        n = max(1, cap // max(1, whole))
+        return tuple((slice(i, min(i + n, b)), slice(0, units)) for i in range(0, b, n))
+    n = max(1, cap // unit_bytes)
+    return tuple((slice(i, i + 1), slice(j, min(j + n, units)))
+                 for i in range(b) for j in range(0, units, n))
 
 
-def _blocks(lo: int, hi: int, step: int):
-    """The blocks of `step` items of part [lo, hi), as slices."""
-    return (slice(i, min(i + step, hi)) for i in range(lo, hi, step))
+def _block_units(blocks: tuple) -> int:
+    """(sample, unit) cells of the first, largest block of a `_grid`; 0
+    for no blocks."""
+    if not blocks:
+        return 0
+    samples, units = blocks[0]
+    return (samples.stop - samples.start) * (units.stop - units.start)
+
+
+def _parts(total: int, most: int | None = None) -> list:
+    """(lo, hi) runs of consecutive blocks covering range(total), one per
+    pool thread and at most `most` (at least one)."""
+    n = max(1, min(total, pool_threads(), total if most is None else most))
+    return [(total * i // n, total * (i + 1) // n) for i in range(n)]
+
+
+def _part_buffers(blocks: tuple, parts: list, dtype, *shapes) -> list:
+    """Scratch of a pass over `blocks`, allocated by the calling thread: for
+    each per-cell shape (None: no buffer), a buffer (parts, cells of the
+    largest block, *shape) whose [p] is part p's."""
+    n = _block_units(blocks)
+    return [None if shape is None else np.empty((len(parts), n) + shape, dtype=dtype)
+            for shape in shapes]
+
+
+def _run_blocks(task, blocks: tuple, parts: list) -> None:
+    """task(part, samples, units) for each block of each part through
+    `_fan_out`."""
+    def run(i, lo, hi):
+        for samples, units in blocks[lo:hi]:
+            task(i, samples, units)
+
+    _fan_out(run, parts)
 
 
 def _fan_out(task, parts: list) -> None:
@@ -209,24 +246,22 @@ _SHORT_AXIS = 8
 # Output steps L of one segment of a temporal convolution (`conv_temporal`,
 # `_conv_segment`): each padded input row is copied into overlapping
 # segments of L+K-1 samples, (L+K-1)/L times over (4.9 at the reference
-# K = 125), where im2col would copy it K times. Samples are lowered in blocks
-# whose segments and products fit _PART_BYTES (at least one sample), and the
-# blocks are fanned out over the kernel pool, so a convolution whose batch
-# fits one block (every convolution of the small acceptance config) runs
-# inline; each part holds one block's scratch.
+# K = 125), where im2col would copy it K times.
 _SEGMENT = 32
-_PART_BYTES = 4 << 20
 
-# Cap on a group of the width-1 attention op: (sample, head) slices are
-# grouped so that the group's one S x S array, exp(q k^T - m), fits this many
-# bytes (3 heads at S = 264 in float32), so the exp and the matrix products
-# that read it stay in a per-core L2 cache. The no-graph conv block finishes
-# its rows in blocks of the same size, and so does the row-block walker
-# (`_walk_rows`) of the train-mode front end: batch norm, LeakyReLU, the
-# pools' window copy and mean, and the convolution's bias, each pass over
-# blocks of rows of at most this many bytes (at least one row). An array
-# that fits one block (every one of the small acceptance config, 480 KiB at
-# most) runs inline as one call per pass.
+# The two caps of the `_grid` blocks that every pooled pass walks. A
+# convolution's block is as many samples as fit their segments and products
+# in _PART_BYTES (at least one), and each part holds one block's scratch.
+# Every other pass cuts (sample, unit) rows at _SCORE_BYTES: the width-1
+# attention op's (sample, head) slices, one S x S array exp(q k^T - m) each
+# (3 heads at S = 264 in float32), so the exp and the matrix products that
+# read it stay in a per-core L2 cache; the no-graph conv block's (sample,
+# feature map) product rows; and the train-mode front end's (sample, feature
+# map) rows (`_walk_rows`: batch norm, LeakyReLU, the pools' window copy and
+# mean, and the convolution's bias). A pass that fits one block (every one
+# of the small acceptance config, whose front-end arrays are 480 KiB at
+# most) runs inline.
+_PART_BYTES = 4 << 20
 _SCORE_BYTES = 1 << 20
 
 # Cap on the group buffers one pass of the width-1 attention op, forward or
@@ -254,30 +289,14 @@ def _short_axis_mean(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
 
 def _walk_rows(task, rows: np.ndarray) -> None:
-    """task(samples, maps) for each block of the (sample, feature map) rows
-    of `rows` (B, F, ...): whole samples where one fits in _SCORE_BYTES,
-    else ranges of one sample's maps that fit (at least one), fanned out
-    over the kernel pool; `rows` that fit in one block are one call on the
-    calling thread. Tasks write only block [samples, maps] of arrays the
-    caller allocated, and the blocks depend on the shape alone, so the
-    results do not depend on the pool's size."""
+    """task(samples, maps) for each `_grid` block of the (sample, feature
+    map) rows of `rows` (B, F, ...) under _SCORE_BYTES, fanned out over the
+    kernel pool; `rows` that fit in one block are one call on the calling
+    thread. Tasks write only block [samples, maps] of arrays the caller
+    allocated."""
     b, f = rows.shape[:2]
-    if rows.nbytes <= _SCORE_BYTES:
-        task(slice(0, b), slice(0, f))
-        return
-    row_bytes = rows.itemsize * math.prod(rows.shape[2:])
-    if f * row_bytes <= _SCORE_BYTES:
-        blocks = [(samples, slice(0, f))
-                  for samples in _blocks(0, b, _SCORE_BYTES // max(1, f * row_bytes))]
-    else:
-        blocks = [(slice(i, i + 1), maps) for i in range(b)
-                  for maps in _blocks(0, f, max(1, _SCORE_BYTES // row_bytes))]
-
-    def part(i, lo, hi):
-        for block in blocks[lo:hi]:
-            task(*block)
-
-    _fan_out(part, _parts(len(blocks), 1))
+    blocks = _grid(b, f, rows.itemsize * math.prod(rows.shape[2:]), _SCORE_BYTES)
+    _run_blocks(lambda i, samples, maps: task(samples, maps), blocks, _parts(len(blocks)))
 
 
 def _maps(a: np.ndarray) -> np.ndarray:
@@ -855,32 +874,16 @@ def _overlap_add(grads: np.ndarray, seg: int, k: int, acc: np.ndarray | None,
         out[...] = acc.reshape(n, f, c, -1)[..., pad_l:pad_l + t]
 
 
-def _sample_parts(b: int, sample_bytes: int) -> tuple:
-    """(step, parts) of a pass over b samples of `sample_bytes` segments and
-    products each: blocks of `step` samples that fit in _PART_BYTES (at
-    least one), cut into parts of the kernel pool on block boundaries."""
-    step = max(1, _PART_BYTES // max(1, sample_bytes))
-    return step, _parts(b, step)
-
-
-def _part_buffers(parts: list, step: int, b: int, dtype, *shapes) -> list:
-    """Scratch of a pass in blocks of `step` of b samples, allocated by the
-    calling thread: for each per-sample shape (None: no buffer), a buffer
-    (parts, block, *shape) whose [p] is part p's."""
-    n = min(step, b)
-    return [None if shape is None else np.empty((len(parts), n) + shape, dtype=dtype)
-            for shape in shapes]
-
-
 def _conv_forward(xpad: np.ndarray, w: np.ndarray, t: int, seg: int,
                   epilogue=None) -> np.ndarray | None:
     """The convolution of padded input xpad (B, F_in, C, T+K-1) with kernels
     w (F_out, F_in, K), lowered to segments of L = seg output steps: the
     Toeplitz matrix of w @ the segments of each sample, one matrix product a
-    sample, in blocks of samples fanned out over the kernel pool. Without
-    `epilogue`, returns the (B, F_out, C, T) output. With it, each block's
-    products (n, F_out*L, C*nb) go to its part's buffer, where
-    epilogue(prods, rows) consumes those of samples `rows`; returns None."""
+    sample, in `_grid` blocks of samples (one unit a sample, under
+    _PART_BYTES) fanned out over the kernel pool. Without `epilogue`,
+    returns the (B, F_out, C, T) output. With it, each block's products
+    (n, F_out*L, C*nb) go to its part's buffer, where epilogue(prods, rows)
+    consumes those of samples `rows`; returns None."""
     b, f_in, c, _ = xpad.shape
     f_out, _, k = w.shape
     toe = _toeplitz(w, seg)
@@ -888,26 +891,26 @@ def _conv_forward(xpad: np.ndarray, w: np.ndarray, t: int, seg: int,
     dtype = np.result_type(xpad, w)
     direct = epilogue is None and seg == 1  # products in time order already
     out = None if epilogue is not None else np.empty((b, f_out, c, t), dtype=dtype)
-    step, parts = _sample_parts(b, (f_in * span + f_out * seg) * c * nb * dtype.itemsize)
-    segs, prods = _part_buffers(parts, step, b, dtype,
+    blocks = _grid(b, 1, (f_in * span + f_out * seg) * c * nb * dtype.itemsize, _PART_BYTES)
+    parts = _parts(len(blocks))
+    segs, prods = _part_buffers(blocks, parts, dtype,
                                 None if seg == 1 else (c, nb, f_in, span),
                                 None if direct else (f_out * seg, c * nb))
 
-    def task(i, lo, hi):
-        for rows in _blocks(lo, hi, step):
-            m = rows.stop - rows.start
-            cols = _segments(xpad[rows], seg, t, None if segs is None else segs[i, :m])
-            cols = cols.transpose(0, 2, 1)
-            if direct:
-                np.matmul(toe, cols, out=out[rows].reshape(m, f_out, c * t))
-                continue
-            p = np.matmul(toe, cols, out=prods[i, :m])
-            if epilogue is None:
-                _unsegment(p, seg, out[rows])
-            else:
-                epilogue(p, rows)
+    def task(i, rows, _):
+        m = rows.stop - rows.start
+        cols = _segments(xpad[rows], seg, t, None if segs is None else segs[i, :m])
+        cols = cols.transpose(0, 2, 1)
+        if direct:
+            np.matmul(toe, cols, out=out[rows].reshape(m, f_out, c * t))
+            return
+        p = np.matmul(toe, cols, out=prods[i, :m])
+        if epilogue is None:
+            _unsegment(p, seg, out[rows])
+        else:
+            epilogue(p, rows)
 
-    _fan_out(task, parts)
+    _run_blocks(task, blocks, parts)
     return out
 
 
@@ -936,8 +939,8 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
       output          Toeplitz @ segments
       weight gradient G @ segments^T, its K diagonals summed
       input gradient  Toeplitz^T @ G, the segments added back (`_overlap_add`)
-    Each sample is its own matrix product, in blocks of samples
-    (`_sample_parts`) fanned out over the kernel pool. The weight gradient
+    Each sample is its own matrix product, in `_grid` blocks of samples
+    under _PART_BYTES fanned out over the kernel pool. The weight gradient
     sums a block's products in sample order before taking the diagonals, and
     adds the blocks in order; the blocks do not depend on the pool's size,
     so neither do the values. The graph holds the padded input (as its
@@ -972,36 +975,36 @@ def conv_temporal(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             # G blocks, segments, G @ segments^T, Toeplitz^T @ G, overlap-add
             shapes = [(c, nb, f_out, seg), (c, nb, f_in, span), (f_out * seg, f_in * span),
                       (f_in * span, c * nb), (f_in, c, nb + -(-span // seg) - 1, seg)]
-            step, parts = _sample_parts(b_, sum(map(math.prod, shapes)) * dtype.itemsize)
+            blocks = _grid(b_, 1, sum(map(math.prod, shapes)) * dtype.itemsize, _PART_BYTES)
+            parts, step = _parts(len(blocks)), _block_units(blocks)
             if seg == 1:  # the G blocks and the segments are g and x, the sums gx itself
                 shapes[0] = shapes[1] = shapes[4] = None
             if not kernels.requires_grad:
                 shapes[1:3] = None, None
             if not x.requires_grad:
                 shapes[3:] = None, None
-            bufs = _part_buffers(parts, step, b_, dtype, *shapes)
+            bufs = _part_buffers(blocks, parts, dtype, *shapes)
             gx = np.empty(x.shape, dtype=dtype) if x.requires_grad else None
-            gws = np.empty((-(-b_ // step), f_out, f_in, k), dtype=dtype)  # one a block
+            gws = np.empty((len(blocks), f_out, f_in, k), dtype=dtype)  # one a block
             dsums = np.empty((len(parts), f_out * seg, f_in * span), dtype=dtype)
 
-            def task(i, lo, hi):
-                for rows in _blocks(lo, hi, step):
-                    gsegs_, xsegs_, dws_, dsegs_, accs_ = (
-                        None if buf is None else buf[i, :rows.stop - rows.start] for buf in bufs)
-                    gcols = _segments(g[rows], seg, t, gsegs_)
-                    if x.requires_grad:
-                        dseg = np.matmul(toe.T, gcols.transpose(0, 2, 1), out=dsegs_)
-                        _overlap_add(dseg, seg, k, accs_, gx[rows])
-                    if kernels.requires_grad:
-                        cols = _segments(padded[rows], seg, t, xsegs_)
-                        d = np.matmul(gcols.transpose(0, 2, 1), cols, out=dws_).sum(axis=0,
-                                                                                   out=dsums[i])
-                        # the K diagonals of the block's (F_out, L, F_in, L+K-1) sum
-                        s = d.reshape(f_out, seg, f_in, span).strides
-                        _strided(d, (f_out, f_in, k, seg), (s[0], s[2], s[3], s[1] + s[3])
-                                 ).sum(axis=-1, out=gws[rows.start // step])
+            def task(i, rows, _):
+                gsegs_, xsegs_, dws_, dsegs_, accs_ = (
+                    None if buf is None else buf[i, :rows.stop - rows.start] for buf in bufs)
+                gcols = _segments(g[rows], seg, t, gsegs_)
+                if x.requires_grad:
+                    dseg = np.matmul(toe.T, gcols.transpose(0, 2, 1), out=dsegs_)
+                    _overlap_add(dseg, seg, k, accs_, gx[rows])
+                if kernels.requires_grad:
+                    cols = _segments(padded[rows], seg, t, xsegs_)
+                    d = np.matmul(gcols.transpose(0, 2, 1), cols, out=dws_).sum(axis=0,
+                                                                               out=dsums[i])
+                    # the K diagonals of the block's (F_out, L, F_in, L+K-1) sum
+                    s = d.reshape(f_out, seg, f_in, span).strides
+                    _strided(d, (f_out, f_in, k, seg), (s[0], s[2], s[3], s[1] + s[3])
+                             ).sum(axis=-1, out=gws[rows.start // step])
 
-            _fan_out(task, parts)
+            _run_blocks(task, blocks, parts)
             if kernels.requires_grad:
                 gw = gws.sum(axis=0).reshape(kernels.shape)
         if bias.requires_grad:  # the order of g.sum(axis=(0, 2, 3)), see _sample_sums
@@ -1221,9 +1224,10 @@ def _conv_block(x: Tensor, kernels: Tensor, bias: Tensor, bn: BatchNormState,
 
     The convolution runs `conv_temporal`'s lowering. Each sample block's
     products (sample, feature map, L, C*nb) are finished in its part's
-    buffer, a block of (sample, feature map) rows (at most _SCORE_BYTES) at
-    a time, while still in cache: + bias, * scale, + shift, LeakyReLU, then
-    the mean of each pool's rows, written straight into the pooled result.
+    buffer, one `_grid` block of (sample, feature map) rows under
+    _SCORE_BYTES at a time, while still in cache: + bias, * scale, + shift
+    (per-feature broadcasts), LeakyReLU, then the mean of each pool's rows,
+    written straight into the pooled result.
     (A pool that does not divide L pools a time-ordered copy of the row
     block instead; the model's pools divide it. At K = 1, L = 1 and the
     columns are in time order.) So the (B, F, C, T) activations, a
@@ -1243,17 +1247,14 @@ def _conv_block(x: Tensor, kernels: Tensor, bias: Tensor, bn: BatchNormState,
     _check_slope(slope)
     n = _windows(pool, pool, t)
     _, _, scale, shift = _running_affine(bn)
-    # per (sample, feature map) row: its feature's bias, scale and shift
-    row_bias, row_scale, row_shift = (np.tile(a, b).reshape(b * f_out, 1, 1)
-                                      for a in (bias.data, scale, shift))
+    # per feature map: its bias, scale and shift
+    map_bias, map_scale, map_shift = (a.reshape(f_out, 1, 1) for a in (bias.data, scale, shift))
     seg = _conv_segment(k)
     nb = -(-t // seg)
     w = kernels.data.reshape(f_out, f_in, k)
     dtype = np.result_type(x.data, w)
     s = dtype.type(slope)
     pooled = np.empty((b, f_out, c, n), dtype=dtype)
-    pooled_rows = pooled.reshape(b * f_out, c, n)
-    step = max(1, _SCORE_BYTES // (seg * c * nb * dtype.itemsize))
 
     def pool_rows(z, out):
         """Pooled means of rows z (r, L, C*nb) into out (r, C, n)."""
@@ -1269,16 +1270,17 @@ def _conv_block(x: Tensor, kernels: Tensor, bias: Tensor, bn: BatchNormState,
         _unsegment(means.reshape(r, per, c * nb), per, out.reshape(r, 1, c, n))
 
     def epilogue(prods, rows):
-        z3 = prods.reshape(-1, seg, c * nb)
-        first = rows.start * f_out
-        for block in _blocks(0, len(z3), step):
-            r = slice(first + block.start, first + block.stop)
-            z = z3[block]
-            z += row_bias[r]
-            z *= row_scale[r]
-            z += row_shift[r]
+        z4 = prods.reshape(-1, f_out, seg, c * nb)
+        out = pooled[rows]
+        # a block is whole samples or one sample's range of maps: contiguous
+        # rows, so the reshapes below are views
+        for samples, maps in _grid(len(z4), f_out, seg * c * nb * dtype.itemsize, _SCORE_BYTES):
+            z = z4[samples, maps]
+            z += map_bias[maps]
+            z *= map_scale[maps]
+            z += map_shift[maps]
             np.maximum(z, s * z, out=z)
-            pool_rows(z, pooled_rows[r])
+            pool_rows(z.reshape(-1, seg, c * nb), out[samples, maps].reshape(-1, c, n))
 
     _conv_forward(_conv_pad(x.data, k), w, t, seg, epilogue)
     return pooled
@@ -1289,33 +1291,10 @@ def _conv_block(x: Tensor, kernels: Tensor, bias: Tensor, bn: BatchNormState,
 # ---------------------------------------------------------------------------
 
 
-def _head_groups(shape: tuple, dtype) -> tuple:
-    """(groups, parts, bufs) of a pass over the (sample, head) slices of
-    (B, H, S, 1) attention operands that holds one S x S array per slice. A
-    group (samples, heads) is as many slices as fit in _SCORE_BYTES: whole
-    samples where one fits, else a range of one sample's heads. So a group
-    is a 4-D view of a strided head view and one run of the flattened
-    (B, H, S, S) weights. The groups depend on the shape and dtype alone;
-    they are cut into parts of the kernel pool, as many as fit in
-    _SCORE_SCRATCH_BYTES, and `bufs` is the parts' scratch, one group's
-    scores each: (parts, slices per group * S * S)."""
-    b, h, s, _ = shape
-    slice_bytes = s * s * dtype.itemsize
-    step = max(1, _SCORE_BYTES // slice_bytes)
-    if step >= h:
-        groups = [(rows, slice(0, h)) for rows in _blocks(0, b, step // h)]
-        size = min(step // h, b) * h
-    else:
-        groups = [(slice(i, i + 1), heads) for i in range(b) for heads in _blocks(0, h, step)]
-        size = step
-    parts = _parts(len(groups), 1, _SCORE_SCRATCH_BYTES // (size * slice_bytes))
-    return groups, parts, np.empty((len(parts), size * s * s), dtype=dtype)
-
-
 def _group_run(shape: tuple, group: tuple) -> tuple:
-    """(dims, start) of one _head_groups group (samples, heads) of (B, H, S, S)
-    weights: its (samples, heads, S, S) shape and the index of its first
-    weight in the flattened weights."""
+    """(dims, start) of one group (samples, heads) of (B, H, S, S) weights:
+    its (samples, heads, S, S) shape and the index of its first weight in
+    the flattened weights."""
     samples, heads = group
     _, h, s, _ = shape
     dims = (samples.stop - samples.start, heads.stop - heads.start, s, s)
@@ -1341,40 +1320,48 @@ def _dh1_products(q: np.ndarray, k: np.ndarray, rowmax: np.ndarray, keep: np.nda
     the keep-mask of (B, H, S, S) weights given as packed bits `keep`
     (`Rng.keep_bits`; None: W = E).
 
-    The (sample, head) slices go in _head_groups, fanned out over the kernel
-    pool. Each group builds E in its part's one buffer: the shifted scores
-    q_i k_j - m_i as one rank-2 product [q, -m] @ [k^T; 1], then exp in
-    place. It runs the E products first, then multiplies E in place by its
-    unpacked keep bits, then runs the W products; without dropout that is
-    one product per operand. So no (B, H, S, S) array exists, and the
-    results do not depend on the pool's size.
+    The (sample, head) slices go in `_grid` groups under _SCORE_BYTES, one
+    S x S array a slice: whole samples where one fits, else a range of one
+    sample's heads, so a group is a 4-D view of a strided head view and one
+    run of the flattened (B, H, S, S) weights. The groups fan out over as
+    many parts of the kernel pool as fit their buffers in
+    _SCORE_SCRATCH_BYTES. Each group builds E in its part's one buffer: the
+    shifted scores q_i k_j - m_i as one rank-2 product [q, -m] @ [k^T; 1],
+    then exp in place. It runs the E products first, then multiplies E in
+    place by its unpacked keep bits, then runs the W products; without
+    dropout that is one product per operand. So no (B, H, S, S) array
+    exists, and the results do not depend on the pool's size.
     """
     dtype = operands[0].dtype
     qm = np.concatenate((q, -rowmax), axis=-1, dtype=dtype)
     kt1 = np.ones(k.shape[:2] + (2, k.shape[2]), dtype=dtype)
     kt1[..., 0, :] = k[..., 0]
-    groups, parts, bufs = _head_groups(q.shape, dtype)
+    b, h, s, _ = q.shape
+    slice_bytes = s * s * dtype.itemsize
+    groups = _grid(b, h, slice_bytes, _SCORE_BYTES)
+    parts = _parts(len(groups),
+                   _SCORE_SCRATCH_BYTES // max(1, _block_units(groups) * slice_bytes))
+    (bufs,) = _part_buffers(groups, parts, dtype, (s * s,))
     outs = [np.empty_like(a) for a in operands]
 
-    def task(p, lo, hi):
-        for group in groups[lo:hi]:
-            dims, start = _group_run(q.shape, group)
-            e = bufs[p][:math.prod(dims)].reshape(dims)
-            np.matmul(qm[group], kt1[group], out=e)
-            np.exp(e, out=e)
+    def task(p, *group):
+        dims, start = _group_run(q.shape, group)
+        e = bufs[p, :dims[0] * dims[1]].reshape(dims)
+        np.matmul(qm[group], kt1[group], out=e)
+        np.exp(e, out=e)
 
-            def products(cols):
-                for mat, a, out in zip((e, e.swapaxes(-1, -2)), operands, outs):
-                    np.matmul(mat, a[group][..., cols], out=out[group][..., cols])
+        def products(cols):
+            for mat, a, out in zip((e, e.swapaxes(-1, -2)), operands, outs):
+                np.matmul(mat, a[group][..., cols], out=out[group][..., cols])
 
-            if keep is None:
-                products(slice(None))
-            else:
-                products(slice(-1, None))
-                e *= _group_keep(keep, dims, start)
-                products(slice(None, -1))
+        if keep is None:
+            products(slice(None))
+        else:
+            products(slice(-1, None))
+            e *= _group_keep(keep, dims, start)
+            products(slice(None, -1))
 
-    _fan_out(task, parts)
+    _run_blocks(task, groups, parts)
     return outs
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import patchformer
 from patchformer import optim, tensor
@@ -17,7 +18,8 @@ from patchformer.config import ABLATIONS, reference_config
 from patchformer.model import build
 from patchformer.rng import Rng
 from patchformer.tensor import (BatchNormState, Tensor, avg_pool_time, batch_norm, conv_temporal,
-                                dropout, leaky_relu, no_grad, sliding_windows, softmax)
+                                dropout, leaky_relu, multi_head_attention, no_grad,
+                                sliding_windows, softmax)
 from patchformer.train import TrainConfig, step
 
 POOL_SIZES = (1, 2, 3)  # 3 cuts the blocks unevenly
@@ -173,9 +175,13 @@ def test_pooled_kernels_are_bit_identical_at_every_pool_size(monkeypatch, pool_s
 
 # 1: ranges of one sample's feature maps, one map a block; 1000: whole
 # samples of the (7, 4, 3, 17) float32 cases (816 bytes), one a block, and
-# map ranges for the overlapping windows' (1680 bytes a sample)
+# map ranges for the overlapping windows' (1680 bytes a sample). The conv
+# block's epilogue cuts its product rows the same way: at 1000, whole
+# samples at K = 1 (816 bytes), ranges of 3 maps and 1 map at K = 5 (1152
+# bytes a sample), and one map a block at K = 40
 @pytest.mark.parametrize("cap", [1, 1000])
-@pytest.mark.parametrize("case", [case for case, (_, caps) in CASES.items() if caps is ROW_CAPS])
+@pytest.mark.parametrize("case", [case for case, (_, caps) in CASES.items() if caps is ROW_CAPS]
+                         + ["conv_block", "conv_block_k1", "conv_block_segments"])
 def test_row_blocks_give_the_bytes_of_one_block(monkeypatch, pool_size, case, cap):
     run = CASES[case][0]
     whole = run()  # each array fits one block: one call on the calling thread
@@ -183,6 +189,98 @@ def test_row_blocks_give_the_bytes_of_one_block(monkeypatch, pool_size, case, ca
     pool_size(POOL_SIZES[-1])
     for got, want in zip(run(), whole):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=st.integers(0, 9), units=st.integers(1, 9), unit_bytes=st.integers(1, 64),
+       cap=st.integers(1, 700))
+def test_grid_tiles_the_samples_and_units_once(b, units, unit_bytes, cap):
+    blocks = tensor._grid(b, units, unit_bytes, cap)
+    cells = [(i, j) for samples, unit_range in blocks
+             for i in range(samples.start, samples.stop)
+             for j in range(unit_range.start, unit_range.stop)]
+    assert cells == [(i, j) for i in range(b) for j in range(units)]  # once, row-major
+    fits = units * unit_bytes <= cap
+    sizes = []
+    for samples, unit_range in blocks:
+        n, m = samples.stop - samples.start, unit_range.stop - unit_range.start
+        assert n >= 1 and m >= 1
+        assert (unit_range == slice(0, units)) if fits else (n == 1)  # whole samples iff one fits
+        assert n * m * unit_bytes <= cap or n * m == 1
+        sizes.append(n * m)
+    assert tensor._block_units(blocks) == max(sizes, default=0) == (sizes[0] if sizes else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(total=st.integers(0, 40), pool=st.integers(1, 8), most=st.none() | st.integers(0, 10))
+def test_parts_are_contiguous_runs_of_blocks(total, pool, most):
+    tensor.set_pool_threads(pool)
+    try:
+        parts = tensor._parts(total, most)
+    finally:
+        tensor.set_pool_threads(tensor.cpu_count())
+    assert 1 <= len(parts) <= max(1, min(pool, total, total if most is None else most))
+    assert parts[0][0] == 0 and parts[-1][1] == total
+    assert all(lo <= hi for lo, hi in parts)
+    assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+    if total:
+        assert all(lo < hi for lo, hi in parts)
+
+
+def _empty(shape):
+    return Tensor(np.zeros(shape, np.float32), requires_grad=True)
+
+
+def _empty_attention():
+    d = 4  # heads of width 1
+    x = _empty((0, 9, d))
+    params = [Tensor(_values(np.float32, shape, 21 + j), requires_grad=True)
+              for j, shape in enumerate([(d, d), (d,)] * 4)]
+    out = multi_head_attention(x, d, *params, dropout_p=0.3, rng=Rng(22), mode="train")
+    out.sum().backward()
+    assert all(p.grad.shape == p.shape and not p.grad.any() for p in params)
+    return [(out.data, (0, 9, d)), (x.grad, (0, 9, d))]
+
+
+def _empty_conv(k):
+    x, kernels, bias = _empty((0, 2, 3, 17)), *_conv_inputs(k)[1:]
+    out = conv_temporal(x, kernels, bias)
+    grads = out._backward(np.zeros(out.shape, np.float32))
+    assert grads[1].shape == kernels.shape and not grads[1].any()
+    assert grads[2].shape == bias.shape and not grads[2].any()
+    return [(out.data, (0, 4, 3, 17)), (grads[0], (0, 2, 3, 17))]
+
+
+def _empty_unary(op, shape):
+    x = _empty((0, 4, 3, 17))
+    out = op(x)
+    return [(out.data, shape), (out._backward(np.zeros(out.shape, np.float32))[0], x.shape)]
+
+
+def _empty_conv_block():
+    rng = np.random.default_rng(23)
+    bn = BatchNormState(*(Tensor(rng.normal(size=4).astype(np.float32)) for _ in range(2)),
+                        np.zeros(4, np.float32), np.ones(4, np.float32))
+    kernels, bias = _conv_inputs(5)[1:]
+    return [(tensor._conv_block(_empty((0, 2, 3, 17)), kernels, bias, bn, 0.01, 3), (0, 4, 3, 5))]
+
+
+EMPTY_BATCH = {
+    "conv_temporal_k1": lambda: _empty_conv(1),
+    "conv_temporal": lambda: _empty_conv(5),
+    "conv_temporal_segments": lambda: _empty_conv(40),
+    "conv_block": _empty_conv_block,
+    "leaky_relu": lambda: _empty_unary(lambda x: leaky_relu(x, 0.01), (0, 4, 3, 17)),
+    "sliding_windows": lambda: _empty_unary(lambda x: sliding_windows(x, 5, 2), (0, 4, 3, 7, 5)),
+    "attention_dh1": _empty_attention,
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_BATCH))
+def test_pooled_kernels_take_an_empty_batch(pool_size, case):
+    pool_size(POOL_SIZES[-1])
+    for got, shape in EMPTY_BATCH[case]():
+        assert got.dtype == np.float32 and got.shape == shape
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
